@@ -8,6 +8,8 @@ cross-checked bit for bit by the test suite.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -55,6 +57,32 @@ def stream_u64(state: int, tag: int) -> int:
 
 def indexed_u64(state: int, tag: int, index: int) -> int:
     return mix64(state ^ tag ^ (((index + 1) * _MULT_B) & MASK64))
+
+
+class KeyedDraws:
+    """Counter-based stand-in for `random.Random` in evaluators.
+
+    Draw i is ``unit(indexed_u64(key, EVAL_TAG, i))``, so every draw is a
+    pure function of (key, i) and needs no generator state to seed.
+    """
+
+    __slots__ = ("key", "index")
+
+    def __init__(self, key: int) -> None:
+        self.key = key
+        self.index = 0
+
+    def random(self) -> float:
+        """The next draw, in [0, 1)."""
+        i = self.index
+        self.index = i + 1
+        return unit(indexed_u64(self.key, EVAL_TAG, i))
+
+    def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
+        """Normal variate by Box-Muller on the next two draws."""
+        u = 1.0 - self.random()  # in (0, 1], so the log is finite
+        v = self.random()
+        return mu + sigma * math.sqrt(-2.0 * math.log(u)) * math.cos(2.0 * math.pi * v)
 
 
 # numpy twins; arguments and results are uint64 arrays

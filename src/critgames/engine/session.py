@@ -49,6 +49,14 @@ CRITICAL_RATE_HEADER = "fen,b,parent_sign,gamma_tilde"
 _FALLBACK_MULTIPV = 500
 
 
+def _field(tokens: list[str], name: str, offset: int = 1) -> str:
+    """The token `offset` places after `name`; ValueError if the line ends first."""
+    at = tokens.index(name) + offset
+    if at >= len(tokens):
+        raise ValueError(f"line ends before the value of {name!r}")
+    return tokens[at]
+
+
 @dataclass(frozen=True)
 class Position:
     """A position addressed the UCI way: a start anchor plus moves."""
@@ -217,6 +225,8 @@ class EngineSession:
         Bound results (lowerbound/upperbound) are transient and skipped;
         within a slot the last full line wins. Scores follow the UCI
         convention: from the side to move in the probed position.
+        Info lines with a field cut short or a number that does not
+        parse are skipped and recorded in `warnings`.
         """
         key = (position.command(), depth, self._multipv)
         cached = self._eval_cache.get(key)
@@ -236,13 +246,17 @@ class EngineSession:
                 continue
             if "lowerbound" in tokens or "upperbound" in tokens:
                 continue
-            slot = int(tokens[tokens.index("multipv") + 1]) if "multipv" in tokens else 1
-            at = tokens.index("score")
-            kind = tokens[at + 1]
-            if kind not in ("cp", "mate"):
+            try:
+                slot = int(_field(tokens, "multipv")) if "multipv" in tokens else 1
+                kind = _field(tokens, "score")
+                if kind not in ("cp", "mate"):
+                    continue
+                score = int(_field(tokens, "score", 2))
+                move = _field(tokens, "pv") if "pv" in tokens else None
+            except ValueError as exc:
+                self.warnings.append(line)
+                log.warning("skipped malformed engine line (%s): %s", exc, line)
                 continue
-            score = int(tokens[at + 2])
-            move = tokens[tokens.index("pv") + 1] if "pv" in tokens else None
             slots[slot] = EvalRecord(move=move, kind=kind, score=score)
         self._eval_cache[key] = slots
         return slots

@@ -24,7 +24,7 @@ from random import Random
 from typing import Callable, Iterable, Sequence
 
 from . import bitmix
-from .heuristics import parse_heuristic
+from .heuristics import HeuristicSpec, parse_heuristic
 from .search_minimax import MinimaxConfig, alphabeta
 from .search_uct import UctConfig, uct_search
 from .tree_model import GameParams, node_meta
@@ -116,8 +116,9 @@ def tree_seeds(cell: Cell, master_seed: int, index: int) -> tuple[int, int]:
     )
 
 
-def _decisions(cell: Cell, params: GameParams, search_seed: int) -> dict[int, int]:
-    heuristic = parse_heuristic(cell.heuristic)
+def _decisions(
+    cell: Cell, heuristic: HeuristicSpec, params: GameParams, search_seed: int
+) -> dict[int, int]:
     if cell.algorithm == "uct":
         cfg = UctConfig(
             cell.exploration,
@@ -143,12 +144,13 @@ def run_cell(
 ) -> list[dict[int, bool]]:
     """Per-tree correctness records: one {budget: correct} dict per tree."""
     records = []
+    heuristic = parse_heuristic(cell.heuristic)
     for t in tree_range if tree_range is not None else range(cell.trees):
         tree_seed, search_seed = tree_seeds(cell, master_seed, t)
         params = GameParams(cell.branching, cell.gamma, cell.max_depth, tree_seed)
         optimal = node_meta(params, ()).optimal_moves
         if decider is None:
-            actions = _decisions(cell, params, search_seed)
+            actions = _decisions(cell, heuristic, params, search_seed)
         else:
             actions = decider(params, cell.budgets, tree_seed, search_seed)
         records.append({j: actions[j] in optimal for j in cell.budgets})

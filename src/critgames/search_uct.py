@@ -6,11 +6,12 @@ iteration grows the tree by one node unless it ends on a terminal,
 which is re-evaluated in place. Rewards live in [0, 1] from Max's
 perspective and are backed up as running means.
 
-Determinism: all randomness is derived from the config seed through
-three separate streams, one sequential stream for selection tie-breaks,
-one keyed per node state for heuristic noise, and one keyed per
-checkpoint for decision tie-breaks. Keying decisions by checkpoint
-iteration makes a checkpointed run agree with independent shorter runs.
+Determinism: every random draw is a pure function of the config seed
+and a counter, through three keyed streams. Heuristic noise is keyed by
+(seed, node state, draw index); the choice among unexpanded children
+and among tied UCB scores by (seed, iteration, depth); decision
+tie-breaks by (seed, checkpoint). No draw depends on how many draws came
+before it, so a checkpointed run agrees with independent shorter runs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from math import log, sqrt
 from random import Random
 from typing import Iterator, NamedTuple, TextIO
 
@@ -50,7 +52,7 @@ class UctConfig:
 
 
 class _Node:
-    __slots__ = ("state", "depth", "value", "terminal", "n", "q", "children")
+    __slots__ = ("state", "depth", "value", "terminal", "n", "q", "children", "free")
 
     def __init__(self, state: int, depth: int, value: int, terminal: bool) -> None:
         self.state = state
@@ -60,6 +62,7 @@ class _Node:
         self.n = 0
         self.q = 0.0
         self.children: list["_Node | None"] | None = None
+        self.free: list[int] = []  # unexpanded child indices, set with children
 
 
 class SearchTree:
@@ -82,15 +85,6 @@ class SearchTree:
 
     def records(self) -> dict[tuple[int, ...], tuple[int, float]]:
         return {path: (node.n, node.q) for path, node in self.nodes()}
-
-    def depth_histogram(self) -> list[int]:
-        counts: list[int] = []
-        for path, _ in self.nodes():
-            depth = len(path)
-            while len(counts) <= depth:
-                counts.append(0)
-            counts[depth] += 1
-        return counts
 
 
 class BreadthFirstReport(NamedTuple):
@@ -169,12 +163,16 @@ class SearchResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _ucb(q_child: float, n_child: int, log_n_parent: float, c: float, min_to_move: int) -> float:
+    """The UCB1 expression selection runs on a visited child."""
+    return (1.0 - q_child if min_to_move else q_child) + c * sqrt(log_n_parent / n_child)
+
+
 def ucb_score(q_child: float, n_child: int, n_parent: int, c: float, perspective: Player) -> float:
     """UCB1 with the negamax value term; unvisited children rank first."""
     if n_child == 0:
         return math.inf
-    value = q_child if perspective == Player.MAX else 1.0 - q_child
-    return value + c * math.sqrt(math.log(n_parent) / n_child)
+    return _ucb(q_child, n_child, log(n_parent), c, perspective == Player.MIN)
 
 
 def _decide(root: _Node, b: int, rng: Random) -> tuple[int, tuple[int, ...], tuple[float, ...]]:
@@ -194,22 +192,26 @@ def uct_search(params: GameParams, cfg: UctConfig, trace: TextIO | None = None) 
     b = params.branching_factor
     c = cfg.exploration
     heuristic = cfg.heuristic
-    log, sqrt = math.log, math.sqrt
+    indexed_u64, select_tag = bitmix.indexed_u64, bitmix.SELECT_TAG
 
-    select_rng = Random(bitmix.mix64(cfg.seed ^ bitmix.SELECT_TAG))
+    select_base = bitmix.mix64(cfg.seed ^ select_tag)
     eval_base = bitmix.mix64(cfg.seed ^ bitmix.EVAL_TAG)
     decide_base = bitmix.mix64(cfg.seed ^ bitmix.DECIDE_TAG)
 
     root_cursor = NodeCursor.root(params)
     root = _Node(root_cursor.state, 0, root_cursor.value, root_cursor.terminal)
     node_count = 1
+    depth_counts = [1]
 
     def reward_for(node: _Node) -> float:
         if node.terminal:
             return 1.0 if node.value == PLUS else 0.0
         ctx = EvalContext(node.value, player_at(node.depth), node.depth, params)
-        rng = Random(bitmix.mix64(eval_base ^ node.state))
-        return evaluate(heuristic, ctx, rng)
+        return evaluate(heuristic, ctx, bitmix.KeyedDraws(eval_base ^ node.state))
+
+    def decide(it: int) -> None:
+        rng = Random(indexed_u64(decide_base, bitmix.DECIDE_TAG, it))
+        records.append(CheckpointRecord(it, *_decide(root, b, rng)))
 
     if trace is not None:
         trace.write("iteration,path,reward\n")
@@ -225,23 +227,26 @@ def uct_search(params: GameParams, cfg: UctConfig, trace: TextIO | None = None) 
         trace.write(f"1,r,{r:.6f}\n")
     if pending and pending[0] == 1:
         pending.pop(0)
-        action, visits, means = _decide(root, b, Random(bitmix.indexed_u64(decide_base, bitmix.DECIDE_TAG, 1)))
-        records.append(CheckpointRecord(1, action, visits, means))
+        decide(1)
 
     for it in range(2, cfg.budget + 1):
+        # draws for this iteration: indexed_u64(it_key, select_tag, depth)
+        it_key = indexed_u64(select_base, select_tag, it)
         node = root
         path = [root]
         steps: list[int] = []
         while True:
             if node.terminal:
-                r = 1.0 if node.value == PLUS else 0.0
+                r = reward_for(node)
                 break
             kids = node.children
             if kids is None:
                 kids = node.children = [None] * b
-            free = [i for i in range(b) if kids[i] is None]
+                node.free = list(range(b))
+            free = node.free
             if free:
-                idx = free[0] if len(free) == 1 else free[select_rng.randrange(len(free))]
+                k = len(free)
+                idx = free.pop(0 if k == 1 else indexed_u64(it_key, select_tag, node.depth) % k)
                 cursor = NodeCursor(params, node.depth, node.value, node.state)
                 value = cursor.child_value(idx)
                 depth = node.depth + 1
@@ -250,35 +255,28 @@ def uct_search(params: GameParams, cfg: UctConfig, trace: TextIO | None = None) 
                 )
                 kids[idx] = child
                 node_count += 1
+                if depth == len(depth_counts):
+                    depth_counts.append(0)
+                depth_counts[depth] += 1
                 path.append(child)
                 if trace is not None:
                     steps.append(idx)
                 r = reward_for(child)
                 break
             log_n = log(node.n)
+            min_to_move = node.depth & 1
             best = None
             best_score = -math.inf
-            ties = 1
-            if node.depth % 2 == 0:
-                for i in range(b):
-                    ch = kids[i]
-                    s = ch.q + c * sqrt(log_n / ch.n)
-                    if s > best_score:
-                        best_score, best, ties = s, ch, 1
-                    elif s == best_score:
-                        ties += 1
-                        if select_rng.random() * ties < 1.0:
-                            best = ch
-            else:
-                for i in range(b):
-                    ch = kids[i]
-                    s = 1.0 - ch.q + c * sqrt(log_n / ch.n)
-                    if s > best_score:
-                        best_score, best, ties = s, ch, 1
-                    elif s == best_score:
-                        ties += 1
-                        if select_rng.random() * ties < 1.0:
-                            best = ch
+            ties = 0
+            for ch in kids:
+                s = _ucb(ch.q, ch.n, log_n, c, min_to_move)
+                if s > best_score:
+                    best_score, best, ties = s, ch, 1
+                elif s == best_score:
+                    ties += 1
+            if ties > 1:
+                tied = [ch for ch in kids if _ucb(ch.q, ch.n, log_n, c, min_to_move) == best_score]
+                best = tied[indexed_u64(it_key, select_tag, node.depth) % ties]
             node = best
             path.append(node)
             if trace is not None:
@@ -291,15 +289,13 @@ def uct_search(params: GameParams, cfg: UctConfig, trace: TextIO | None = None) 
             trace.write(f"{it},{label},{r:.6f}\n")
         if pending and pending[0] == it:
             pending.pop(0)
-            rng = Random(bitmix.indexed_u64(decide_base, bitmix.DECIDE_TAG, it))
-            action, visits, means = _decide(root, b, rng)
-            records.append(CheckpointRecord(it, action, visits, means))
+            decide(it)
 
     tree = SearchTree(params, root, node_count)
     return SearchResult(
         checkpoints=tuple(records),
         node_count=node_count,
-        depth_histogram=tuple(tree.depth_histogram()),
+        depth_histogram=tuple(depth_counts),
         breadth_first=breadth_first_check(tree),
         tree=tree,
     )

@@ -45,10 +45,10 @@ from critgames.search_uct import Player, UctConfig, check_conservation, ucb_scor
 from critgames.tree_model import (
     PLUS,
     GameParams,
+    NodeCursor,
     density_limits,
     mean_plus_fractions,
     node_meta,
-    node_value,
     plus_density,
 )
 
@@ -107,14 +107,15 @@ class Washout(NamedTuple):
     accuracy: float
     standard_error: float
     mean_gap: float  # optimal root child's mean minus its best sibling's, per tree
-    recount_error: float  # worst |search mean - node_value recount| over root children
+    recount_error: float  # worst |search mean - tree-model recount| over root children
     level_gaps: frozenset[int]  # per-level win gaps on levels complete in every subtree
     complete_levels: int  # fewest complete levels over the trees
 
 
 def _washout(b: int, iterations: int) -> Washout:
     """The theorem cell at budget N, seeded as run_theorem_experiment
-    seeds it, with each root subtree recounted from node_value."""
+    seeds it, with each root subtree recounted from the tree model in
+    one walk that carries a NodeCursor down the tracked tree."""
     c = theorem_c_bound(iterations)
     cell = Cell(1.0, b, c, "perfect", (iterations,), THEOREM_DEPTH, THEOREM_TREES, "uct")
     heuristic = parse_heuristic("perfect")
@@ -132,10 +133,19 @@ def _washout(b: int, iterations: int) -> Washout:
         # wins[i][lvl] and sizes[i][lvl] count tracked nodes lvl plies below root child i
         wins = [[0] * iterations for _ in range(b)]
         sizes = [[0] * iterations for _ in range(b)]
-        for path, _ in result.tree.nodes():
-            if path:
-                sizes[path[0]][len(path) - 1] += 1
-                wins[path[0]][len(path) - 1] += node_value(params, path) == PLUS
+        root = NodeCursor.root(params)
+        stack = [
+            (i, 0, node, root.child(i))
+            for i, node in enumerate(result.tree.root.children or ())
+            if node is not None
+        ]
+        while stack:
+            i, lvl, node, cursor = stack.pop()
+            sizes[i][lvl] += 1
+            wins[i][lvl] += cursor.value == PLUS
+            for j, kid in enumerate(node.children or ()):
+                if kid is not None:
+                    stack.append((i, lvl + 1, kid, cursor.child(j)))
         means = result.checkpoints[-1].means
         for i in range(b):
             recount_error = max(recount_error, abs(sum(wins[i]) / sum(sizes[i]) - means[i]))
@@ -303,7 +313,7 @@ def test_criterion_05b_decision_accuracy_near_chance(theorem_reports):
 
     Checked, on run_theorem_experiment's own seeds at N = 64 and 512:
     the per-tree decisions at 512 reproduce the fixture's accuracy; each
-    root child's mean equals a recount of its subtree from node_value;
+    root child's mean equals a recount of its subtree from the tree model;
     every complete level has a win gap of exactly 1; the mean gap
     shrinks with N for each b; accuracy at b = 2, N = 512 is exactly 1;
     and accuracy at b = 3 falls at least two combined standard errors
@@ -322,7 +332,7 @@ def test_criterion_05b_decision_accuracy_near_chance(theorem_reports):
         "per-tree decisions reproduce the fixture's accuracy": all(
             runs[b, 512].accuracy == acc for b, acc in fixture.items()
         ),
-        "root-child means equal the node_value recount": all(
+        "root-child means equal the tree-model recount": all(
             run.recount_error <= 1e-12 for run in runs.values()
         ),
         "every complete level has a win gap of exactly 1": all(

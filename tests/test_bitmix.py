@@ -73,3 +73,26 @@ def test_indexed_draws_differ_by_index(tag):
     state = bitmix.root_state(12345)
     draws = {bitmix.indexed_u64(state, tag, i) for i in range(100)}
     assert len(draws) == 100
+
+
+@given(st.integers(min_value=0, max_value=bitmix.MASK64), st.integers(min_value=0, max_value=50))
+@settings(max_examples=100)
+def test_keyed_draws_are_pure_in_key_and_index(key, index):
+    draws = bitmix.KeyedDraws(key)
+    sequence = [draws.random() for _ in range(index + 1)]
+    assert sequence[index] == bitmix.unit(bitmix.indexed_u64(key, bitmix.EVAL_TAG, index))
+    assert all(0.0 <= u < 1.0 for u in sequence)
+    replay = bitmix.KeyedDraws(key)
+    assert [replay.random() for _ in range(index + 1)] == sequence
+
+
+def test_keyed_gauss_is_standard_normal():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    draws = bitmix.KeyedDraws(bitmix.root_state(2024))
+    xs = np.array([draws.gauss(0.0, 1.0) for _ in range(100_000)])
+    assert draws.index == 200_000  # two draws per variate
+    assert abs(xs.mean()) < 0.01
+    assert abs(xs.std() - 1.0) < 0.01
+    assert scipy_stats.kstest(xs, "norm").pvalue > 0.01
+    shifted = bitmix.KeyedDraws(bitmix.root_state(2024))
+    assert shifted.gauss(2.0, 0.5) == pytest.approx(2.0 + 0.5 * xs[0], abs=1e-12)

@@ -201,14 +201,17 @@ class TestEvalRecord:
 
 
 class TestEvalParsing:
-    def run_probe_eval(self, replies, depth=20, multipv=1):
+    def probe_session(self, replies, depth=20, multipv=1):
         pos = Position(fen=FEN_A)
         entries = [(">", pos.command()), (">", f"go depth {depth}")]
         entries += [("<", line) for line in replies]
         cfg = ProbeConfig(multipv=multipv)
         session = EngineSession(ReplayTransport(entries), cfg)
         session._multipv = multipv
-        return session.probe_eval(pos, depth)
+        return session, session.probe_eval(pos, depth)
+
+    def run_probe_eval(self, replies, depth=20, multipv=1):
+        return self.probe_session(replies, depth, multipv)[1]
 
     def test_last_full_line_wins(self):
         slots = self.run_probe_eval(
@@ -254,6 +257,21 @@ class TestEvalParsing:
             ]
         )
         assert slots[1].score == 42
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "info depth 20 score cp 12 multipv",  # multipv without its value
+            "info depth 20 score cp abc pv a1a8",  # score that is not an integer
+            "info depth 20 score cp 12 pv",  # pv without a move
+        ],
+    )
+    def test_malformed_line_skipped_and_recorded(self, bad):
+        session, slots = self.probe_session(
+            ["info depth 18 score cp 140 pv a1a8", bad, "bestmove a1a8"]
+        )
+        assert slots == {1: EvalRecord(move="a1a8", kind="cp", score=140)}
+        assert session.warnings == [bad]
 
 
 class TestLegalMoves:

@@ -3,6 +3,7 @@ determinism, checkpoint consistency, and small-scale decision quality."""
 
 import io
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,12 @@ class TestGrowthAndConservation:
         assert res.node_count == 600
         assert sum(res.depth_histogram) == 600
 
+    def test_depth_histogram_matches_tree(self):
+        params = make_params(b=3, gamma=0.7, d_max=5, seed=6)
+        res = uct_search(params, UctConfig(0.9, 400, gaussian(0.4), seed=8))
+        walked = Counter(len(path) for path, _ in res.tree.nodes())
+        assert res.depth_histogram == tuple(walked[d] for d in range(max(walked) + 1))
+
     def test_conservation_with_terminal_revisits(self):
         params = make_params(d_max=2)
         res = uct_search(params, UctConfig(0.8, 300, gaussian(0.5), seed=4))
@@ -175,17 +182,35 @@ class TestDeterminism:
         assert a.to_json() != b.to_json()
 
 
+def assert_checkpoints_match_solo_runs(params, c, heuristic, seed, budgets):
+    joint = uct_search(params, UctConfig(c, budgets[-1], heuristic, seed, checkpoints=budgets))
+    for budget, joint_rec in zip(budgets, joint.checkpoints):
+        solo = uct_search(params, UctConfig(c, budget, heuristic, seed))
+        assert joint_rec == solo.checkpoints[-1]
+
+
 class TestCheckpoints:
     def test_checkpointed_matches_independent_runs(self):
         params = make_params(b=2, gamma=0.9, d_max=8, seed=31)
-        joint = uct_search(
-            params, UctConfig(0.8, 200, LIGHT, seed=5, checkpoints=(10, 50, 200))
-        )
-        for budget in (10, 50, 200):
-            solo = uct_search(params, UctConfig(0.8, budget, LIGHT, seed=5))
-            joint_rec = next(r for r in joint.checkpoints if r.iteration == budget)
-            solo_rec = solo.checkpoints[-1]
-            assert joint_rec == solo_rec
+        assert_checkpoints_match_solo_runs(params, 0.8, LIGHT, 5, (10, 50, 200))
+
+    def test_checkpointed_matches_independent_runs_under_ties(self):
+        # exact rewards and no exploration bonus: equal UCB scores are the
+        # rule, so the keyed tie-breaks decide most selections
+        params = make_params(b=3, gamma=0.9, d_max=8, seed=31)
+        assert_checkpoints_match_solo_runs(params, 0.0, perfect(), 5, (10, 50, 200))
+
+    @given(
+        st.integers(min_value=2, max_value=4),
+        st.sampled_from((0.0, 0.7)),
+        st.integers(min_value=1, max_value=80),
+        st.integers(min_value=1, max_value=80),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_run_equals_checkpoint(self, b, c, budget, extra, seed):
+        params = make_params(b=b, gamma=0.8, d_max=6, seed=seed)
+        assert_checkpoints_match_solo_runs(params, c, perfect(), seed, (budget, budget + extra))
 
     def test_action_at_lookup(self):
         params = make_params()
