@@ -87,6 +87,7 @@ class KeyedDraws:
 
 # numpy twins; arguments and results are uint64 arrays
 
+_NP_GOLDEN = np.uint64(GOLDEN)
 _NP_MULT_A = np.uint64(_MULT_A)
 _NP_MULT_B = np.uint64(_MULT_B)
 _S30 = np.uint64(30)
@@ -113,8 +114,10 @@ def root_state_np(seeds: np.ndarray) -> np.ndarray:
     return mix64_np(seeds.astype(np.uint64) ^ np.uint64(GOLDEN))
 
 
-def child_state_np(states: np.ndarray, index: int) -> np.ndarray:
-    step = np.uint64(((index + 1) * GOLDEN) & MASK64)
+def child_state_np(states: np.ndarray, index: int | np.ndarray) -> np.ndarray:
+    """Child states; `index` is one child index or an array of them, one per state."""
+    # a 1-d array, because numpy warns when uint64 scalar arithmetic wraps
+    step = (np.atleast_1d(index).astype(np.uint64) + np.uint64(1)) * _NP_GOLDEN
     return mix64_np(states ^ step)
 
 

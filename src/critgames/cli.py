@@ -71,18 +71,6 @@ def _as_usage():
 # -- value converters ----------------------------------------------------
 
 
-def _int(text: str) -> int:
-    return int(text)
-
-
-def _float(text: str) -> float:
-    return float(text)
-
-
-def _str(text: str) -> str:
-    return text
-
-
 def _bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -126,35 +114,35 @@ class Opt:
 
 
 GLOBAL_OPTS: dict[str, Opt] = {
-    "seed": Opt(_int, 0, "master seed for this run"),
-    "workers": Opt(_int, os.cpu_count() or 1, "process count for experiment sweeps"),
-    "out_dir": Opt(_str, ".", "directory for output files"),
+    "seed": Opt(int, 0, "master seed for this run"),
+    "workers": Opt(int, os.cpu_count() or 1, "process count for experiment sweeps"),
+    "out_dir": Opt(str, ".", "directory for output files"),
 }
 
 SUB_OPTS: dict[str, dict[str, Opt]] = {
     "gen-tree": {
-        "gamma": Opt(_float, 1.0, "critical rate"),
-        "b": Opt(_int, 2, "branching factor"),
-        "max_depth": Opt(_int, 6, "tree depth"),
-        "depth_cap": Opt(_int, 6, "deepest level exported"),
+        "gamma": Opt(float, 1.0, "critical rate"),
+        "b": Opt(int, 2, "branching factor"),
+        "max_depth": Opt(int, 6, "tree depth"),
+        "depth_cap": Opt(int, 6, "deepest level exported"),
     },
     "density": {
-        "gamma": Opt(_float, 1.0, "critical rate"),
-        "b": Opt(_int, 2, "branching factor"),
-        "n": Opt(_int, 2, "level whose density is printed"),
+        "gamma": Opt(float, 1.0, "critical rate"),
+        "b": Opt(int, 2, "branching factor"),
+        "n": Opt(int, 2, "level whose density is printed"),
         "table": Opt(_bool, False, "print every level up to n", switch=True),
         "limits": Opt(_bool, False, "print the alternating limits", switch=True),
     },
     "search": {
-        "algo": Opt(_str, "uct", "uct or alphabeta"),
-        "gamma": Opt(_float, 1.0, "critical rate"),
-        "b": Opt(_int, 2, "branching factor"),
-        "max_depth": Opt(_int, 12, "tree depth"),
-        "heuristic": Opt(_str, "perfect", "leaf evaluator"),
-        "c": Opt(_float, 1.0, "exploration constant (uct)"),
-        "budget": Opt(_int, 1000, "iteration budget (uct)"),
+        "algo": Opt(str, "uct", "uct or alphabeta"),
+        "gamma": Opt(float, 1.0, "critical rate"),
+        "b": Opt(int, 2, "branching factor"),
+        "max_depth": Opt(int, 12, "tree depth"),
+        "heuristic": Opt(str, "perfect", "leaf evaluator"),
+        "c": Opt(float, 1.0, "exploration constant (uct)"),
+        "budget": Opt(int, 1000, "iteration budget (uct)"),
         "checkpoints": Opt(_ints, (), "comma-separated decision checkpoints (uct)"),
-        "depth": Opt(_int, 4, "lookahead depth (alphabeta)"),
+        "depth": Opt(int, 4, "lookahead depth (alphabeta)"),
         "path": Opt(_ints, (), "start node as comma-separated child indices"),
     },
     "experiment": {
@@ -163,40 +151,40 @@ SUB_OPTS: dict[str, dict[str, Opt]] = {
         "explorations": Opt(_floats, (0.1, 0.5, 1.0, 2.0, 5.0), "exploration constants"),
         "heuristics": Opt(_strs, ("histogram:chess_p10_light",), "leaf evaluators"),
         "budgets": Opt(_ints, (10, 100, 1000, 10000), "iteration budgets or depths"),
-        "max_depth": Opt(_int, 50, "tree depth"),
-        "trees": Opt(_int, 500, "instances per cell"),
-        "algo": Opt(_str, "uct", "uct or alphabeta"),
+        "max_depth": Opt(int, 50, "tree depth"),
+        "trees": Opt(int, 500, "instances per cell"),
+        "algo": Opt(str, "uct", "uct or alphabeta"),
     },
     "pv-check": {
-        "b": Opt(_int, 2, "branching factor"),
-        "depth_max": Opt(_int, 10, "largest distance checked"),
-        "seeds": Opt(_int, 100, "instances for the exact check"),
-        "cost": Opt(_int, 1, "sibling step cost"),
-        "pv_depth": Opt(_int, 12, "game depth for planner instances"),
-        "playouts": Opt(_int, 1000, "random playouts per root child"),
-        "instances": Opt(_int, 200, "planner instances"),
+        "b": Opt(int, 2, "branching factor"),
+        "depth_max": Opt(int, 10, "largest distance checked"),
+        "seeds": Opt(int, 100, "instances for the exact check"),
+        "cost": Opt(int, 1, "sibling step cost"),
+        "pv_depth": Opt(int, 12, "game depth for planner instances"),
+        "playouts": Opt(int, 1000, "random playouts per root child"),
+        "instances": Opt(int, 200, "planner instances"),
     },
     "theorem": {
-        "N": Opt(_int, 512, "iteration count the bound is evaluated at"),
+        "N": Opt(int, 512, "iteration count the bound is evaluated at"),
         "table": Opt(_ints, (), "print the bound at these iteration counts"),
         "verify": Opt(_bool, False, "run the breadth-first verification", switch=True),
         "branchings": Opt(_ints, (2, 3), "branching factors for --verify"),
-        "trees": Opt(_int, 100, "instances per branching for --verify"),
-        "max_depth": Opt(_int, 50, "tree depth for --verify"),
+        "trees": Opt(int, 100, "instances per branching for --verify"),
+        "max_depth": Opt(int, 50, "tree depth for --verify"),
     },
     "probe": {
-        "engine": Opt(_str, "", "engine command line; empty runs the bundled mock"),
-        "scenario": Opt(_str, "", "scenario file for the bundled mock"),
-        "fens": Opt(_str, "", "file of positions to probe, one FEN per line"),
-        "plies": Opt(_int, 1, "random-walk length for sampled positions"),
-        "mode": Opt(_str, "light", "light or heavy sampling"),
-        "samples": Opt(_int, 10, "number of sampled positions"),
-        "multipv": Opt(_int, 3, "lines requested from the engine"),
-        "deep_depth": Opt(_int, 20, "deep search depth"),
-        "child_depth": Opt(_int, 19, "reply search depth"),
-        "heavy_depth": Opt(_int, 10, "heavy-walk search depth"),
-        "bins": Opt(_int, 64, "histogram bin count"),
-        "timeout": Opt(_float, 10.0, "seconds to wait for each engine reply"),
+        "engine": Opt(str, "", "engine command line; empty runs the bundled mock"),
+        "scenario": Opt(str, "", "scenario file for the bundled mock"),
+        "fens": Opt(str, "", "file of positions to probe, one FEN per line"),
+        "plies": Opt(int, 1, "random-walk length for sampled positions"),
+        "mode": Opt(str, "light", "light or heavy sampling"),
+        "samples": Opt(int, 10, "number of sampled positions"),
+        "multipv": Opt(int, 3, "lines requested from the engine"),
+        "deep_depth": Opt(int, 20, "deep search depth"),
+        "child_depth": Opt(int, 19, "reply search depth"),
+        "heavy_depth": Opt(int, 10, "heavy-walk search depth"),
+        "bins": Opt(int, 64, "histogram bin count"),
+        "timeout": Opt(float, 10.0, "seconds to wait for each engine reply"),
         "no_perft": Opt(_bool, False, "list moves by wide search, not perft", switch=True),
         "options": Opt(_pairs, (), "engine option overrides, name=value;name=value"),
     },
@@ -299,16 +287,19 @@ def _data_file(name: str) -> str:
     return str(resources.files("critgames.data") / name)
 
 
+def _game_params(cfg: dict[str, object], max_depth: int, seed: int) -> GameParams:
+    return GameParams(
+        branching_factor=cfg["b"], critical_rate=cfg["gamma"], max_depth=max_depth, seed=seed,
+    )
+
+
 # -- subcommand handlers -------------------------------------------------
 
 
 def _cmd_gen_tree(cfg: dict[str, object]) -> int:
     """Export one synthetic game instance as digraph text."""
     with _as_usage():
-        params = GameParams(
-            branching_factor=cfg["b"], critical_rate=cfg["gamma"],
-            max_depth=cfg["max_depth"], seed=cfg["seed"],
-        )
+        params = _game_params(cfg, cfg["max_depth"], cfg["seed"])
         text = export_tree(params, cfg["depth_cap"])
     path = _out_dir(cfg) / "tree.txt"
     path.write_text(text)
@@ -322,10 +313,7 @@ def _cmd_density(cfg: dict[str, object]) -> int:
     with _as_usage():
         if n < 0:
             raise ValueError("n must be >= 0")
-        params = GameParams(
-            branching_factor=cfg["b"], critical_rate=cfg["gamma"],
-            max_depth=max(n, 1), seed=0,
-        )
+        params = _game_params(cfg, max(n, 1), 0)
         value = plus_density(params, n)
     if cfg["table"]:
         for level in range(n + 1):
@@ -342,10 +330,7 @@ def _cmd_density(cfg: dict[str, object]) -> int:
 def _cmd_search(cfg: dict[str, object]) -> int:
     """Run one search on one instance and record the result."""
     with _as_usage():
-        params = GameParams(
-            branching_factor=cfg["b"], critical_rate=cfg["gamma"],
-            max_depth=cfg["max_depth"], seed=cfg["seed"],
-        )
+        params = _game_params(cfg, cfg["max_depth"], cfg["seed"])
         heuristic = parse_heuristic(cfg["heuristic"])
         algo = cfg["algo"]
         if algo not in ("uct", "alphabeta"):

@@ -13,29 +13,10 @@ import json
 import sys
 import time
 
-KNOWN_OPTIONS = {
-    "Contempt",
-    "Threads",
-    "Hash",
-    "Ponder",
-    "MultiPV",
-    "Skill Level",
-    "Move Overhead",
-    "Slow Mover",
-    "nodestime",
-    "UCI_Chess960",
-    "UCI_AnalyseMode",
-    "UCI_LimitStrength",
-    "UCI_Elo",
-    "UCI_ShowWDL",
-    "SyzygyProbeDepth",
-    "Syzygy50MoveRule",
-    "SyzygyProbeLimit",
-    "Use NNUE",
-    "EvalFile",
-    "Debug Log File",
-    "SyzygyPath",
-}
+from .session import DEFAULT_OPTIONS
+
+# the options a probe session sets on every handshake
+KNOWN_OPTIONS = frozenset(name for name, _ in DEFAULT_OPTIONS)
 
 
 def _say(line: str) -> None:

@@ -195,42 +195,41 @@ def pathology_report(cell: Cell, records: list[dict[int, bool]], wall_time: floa
     return CellReport(cell, tuple(deltas), tuple(ses), pathology, m, wall_time)
 
 
-def _run_slice(spec: GridSpec, cell_index: int, start: int, stop: int) -> list[dict[int, bool]]:
-    cell = cells(spec)[cell_index]
-    return run_cell(cell, spec.master_seed, tree_range=range(start, stop))
+def _run_task(task: tuple[Cell, int, range, Decider | None]) -> tuple[list, float]:
+    """One (cell, tree-slice) task: its records and its measured seconds."""
+    cell, master_seed, trees, decider = task
+    t0 = time.perf_counter()
+    records = run_cell(cell, master_seed, trees, decider)
+    return records, time.perf_counter() - t0
 
 
 def run_grid(
     spec: GridSpec, workers: int = 1, decider: Decider | None = None
 ) -> list[CellReport]:
-    """All cells of the grid; workers > 1 fans (cell, tree-slice) tasks
-    over a process pool with an order-independent reduction."""
+    """All cells of the grid, run as (cell, tree-slice) tasks: inline when
+    workers == 1, else over a process pool (a decider must then pickle).
+    Results return in task order, so reports do not depend on the worker
+    count; a cell's wall_time is the measured sum of its slices' times."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     grid = cells(spec)
-    if workers <= 1 or decider is not None:
-        reports = []
-        for cell in grid:
-            t0 = time.perf_counter()
-            records = run_cell(cell, spec.master_seed, decider=decider)
-            reports.append(pathology_report(cell, records, time.perf_counter() - t0))
-        return reports
-
     chunk = max(1, math.ceil(spec.trees / (2 * workers)))
-    slices = [
-        (ci, start, min(start + chunk, spec.trees))
-        for ci in range(len(grid))
-        for start in range(0, spec.trees, chunk)
+    starts = range(0, spec.trees, chunk)
+    tasks = [
+        (cell, spec.master_seed, range(a, min(a + chunk, spec.trees)), decider)
+        for cell in grid
+        for a in starts
     ]
-    t0 = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_slice, spec, ci, a, b) for ci, a, b in slices]
-        parts: dict[int, list[tuple[int, list[dict[int, bool]]]]] = {}
-        for (ci, a, _), fut in zip(slices, futures):
-            parts.setdefault(ci, []).append((a, fut.result()))
-    elapsed = time.perf_counter() - t0
+    if workers == 1:
+        results = list(map(_run_task, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_task, tasks))
     reports = []
     for ci, cell in enumerate(grid):
-        records = [rec for _, batch in sorted(parts[ci]) for rec in batch]
-        reports.append(pathology_report(cell, records, elapsed / len(grid)))
+        part = results[ci * len(starts) : (ci + 1) * len(starts)]
+        records = [rec for batch, _ in part for rec in batch]
+        reports.append(pathology_report(cell, records, sum(seconds for _, seconds in part)))
     return reports
 
 

@@ -12,6 +12,10 @@ The cost may instead be drawn from {1..max_random_cost}, once per tree
 level: every sibling group at a depth shares the draw, so the per-level
 costs still cancel between subtrees and the sum identity generalizes to
 cost-at-level-0 * 2^d.
+
+`PvCursor` is the `tree_model` cursor with this growth rule in place of
+the win-loss one, so paths are checked and child states derived exactly
+as for the win-loss trees.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from . import bitmix
-from .bitmix import COST_TAG, DESIGNATED_TAG, GOLDEN, MASK64
+from .bitmix import COST_TAG, DESIGNATED_TAG, MASK64
+from .tree_model import NodeCursor
 
 _ENUM_CAP = 10**6
 
@@ -56,24 +61,8 @@ def level_cost(params: PvParams, depth: int) -> int:
     return 1 + draw % params.max_random_cost
 
 
-@dataclass(frozen=True)
-class PvCursor:
-    params: PvParams
-    depth: int
-    value: int
-    state: int
-
-    @classmethod
-    def root(cls, params: PvParams) -> "PvCursor":
-        return cls(params, 0, 1, bitmix.root_state(params.seed))
-
-    @property
-    def terminal(self) -> bool:
-        return self.depth >= self.params.max_depth
-
-    @property
-    def designated_index(self) -> int:
-        return bitmix.stream_u64(self.state, DESIGNATED_TAG) % self.params.branching_factor
+class PvCursor(NodeCursor):
+    """NodeCursor under the prefix-value growth rule; `params` is a PvParams."""
 
     @property
     def level_cost(self) -> int:
@@ -87,24 +76,9 @@ class PvCursor:
         k = self.level_cost
         return self.value - k if self.depth % 2 == 0 else self.value + k
 
-    def child(self, index: int) -> "PvCursor":
-        value = self.child_value(index)
-        return PvCursor(self.params, self.depth + 1, value, bitmix.child_state(self.state, index))
-
-
-def _walk(params: PvParams, path: Sequence[int]) -> PvCursor:
-    cursor = PvCursor.root(params)
-    if len(tuple(path)) > params.max_depth:
-        raise ValueError(f"path depth {len(tuple(path))} exceeds max_depth {params.max_depth}")
-    for index in path:
-        if not 0 <= index < params.branching_factor:
-            raise ValueError(f"child index {index} out of range")
-        cursor = cursor.child(index)
-    return cursor
-
 
 def pv_value(params: PvParams, path: Sequence[int]) -> int:
-    return _walk(params, path).value
+    return PvCursor.walk(params, path).value
 
 
 def pv_optimal_root_child(params: PvParams) -> int:
@@ -118,7 +92,7 @@ def pv_leaf_sum(params: PvParams, path: Sequence[int], d: int) -> int:
         raise ValueError("d must be >= 0")
     if params.branching_factor**d > _ENUM_CAP:
         raise ValueError(f"b^d exceeds {_ENUM_CAP}")
-    start = _walk(params, path)
+    start = PvCursor.walk(params, path)
     if start.depth + d > params.max_depth:
         raise ValueError("descendants at depth d do not exist")
 
@@ -161,8 +135,7 @@ def pv_naive_plan(params: PvParams, playouts_per_child: int, rng_seed: int) -> i
             sign = -1 if depth % 2 == 0 else 1
             off_designated = indices != designated.astype(np.int64)
             values = values + np.where(off_designated, sign * cost, 0)
-            step = (indices.astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
-            states = bitmix.mix64_np(states ^ step)
+            states = bitmix.child_state_np(states, indices)
         means.append(float(values.mean()))
     best = max(means)
     ties = [i for i, m in enumerate(means) if m == best]

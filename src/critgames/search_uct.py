@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import log, sqrt
 from random import Random
 from typing import Iterator, NamedTuple, TextIO
@@ -129,8 +130,12 @@ class SearchResult:
     checkpoints: tuple[CheckpointRecord, ...]
     node_count: int
     depth_histogram: tuple[int, ...]
-    breadth_first: BreadthFirstReport
     tree: SearchTree
+
+    @cached_property
+    def breadth_first(self) -> BreadthFirstReport:
+        """Computed on first read; grid sweeps never read it."""
+        return breadth_first_check(self.tree)
 
     @property
     def final_action(self) -> int:
@@ -296,6 +301,5 @@ def uct_search(params: GameParams, cfg: UctConfig, trace: TextIO | None = None) 
         checkpoints=tuple(records),
         node_count=node_count,
         depth_histogram=tuple(depth_counts),
-        breadth_first=breadth_first_check(tree),
         tree=tree,
     )

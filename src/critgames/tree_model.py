@@ -91,7 +91,10 @@ def check_path(params: GameParams, path: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class NodeCursor:
-    """Lazy handle on one node: its value plus the state seeding its child draws."""
+    """Lazy handle on one node: its value plus the state seeding its child draws.
+
+    A subclass replaces only the growth rule, `child_value`.
+    """
 
     params: GameParams
     depth: int
@@ -134,17 +137,21 @@ class NodeCursor:
 
     def child(self, index: int) -> "NodeCursor":
         value = self.child_value(index)
-        return NodeCursor(self.params, self.depth + 1, value, bitmix.child_state(self.state, index))
+        return type(self)(self.params, self.depth + 1, value, bitmix.child_state(self.state, index))
 
     def child_values(self) -> list[int]:
         return [self.child_value(i) for i in range(self.params.branching_factor)]
 
+    @classmethod
+    def walk(cls, params: GameParams, path: Sequence[int]) -> "NodeCursor":
+        """The node at `path` below the root; the path is validated first."""
+        cursor = cls.root(params)
+        for index in check_path(params, path):
+            cursor = cursor.child(index)
+        return cursor
 
-def walk(params: GameParams, path: Sequence[int]) -> NodeCursor:
-    cursor = NodeCursor.root(params)
-    for index in check_path(params, path):
-        cursor = cursor.child(index)
-    return cursor
+
+walk = NodeCursor.walk
 
 
 def node_value(params: GameParams, path: Sequence[int]) -> int:

@@ -46,6 +46,9 @@ def test_scalar_numpy_stream_parity():
         for tag in (bitmix.DESIGNATED_TAG, bitmix.FLIP_TAG, bitmix.COST_TAG):
             expected = [bitmix.indexed_u64(s, tag, index) for s in states]
             assert bitmix.indexed_u64_np(arr, tag, index).tolist() == expected
+    indices = [rng.randrange(64) for _ in states]
+    expected_children = [bitmix.child_state(s, i) for s, i in zip(states, indices)]
+    assert bitmix.child_state_np(arr, np.asarray(indices)).tolist() == expected_children
     expected_root = [bitmix.root_state(s) for s in states]
     assert bitmix.root_state_np(arr).tolist() == expected_root
     expected_stream = [bitmix.stream_u64(s, bitmix.EVAL_TAG) for s in states]

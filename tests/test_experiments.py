@@ -187,10 +187,31 @@ class TestDeterminism:
             assert report.deltas == backward[key].deltas
 
     def test_worker_pool_matches_inline(self):
-        spec = tiny_spec(trees=8, budgets=(5, 20), max_depth=6)
-        inline = run_grid(spec, workers=1)
-        pooled = run_grid(spec, workers=2)
-        assert [r.deltas for r in inline] == [r.deltas for r in pooled]
+        for algorithm, budgets in (("uct", (5, 20)), ("alphabeta", (1, 3))):
+            spec = tiny_spec(
+                trees=8, budgets=budgets, max_depth=6, algorithm=algorithm,
+                gammas=(0.5, 1.0), branchings=(2, 3),
+            )
+            inline = "\n".join(csv_lines(run_grid(spec, workers=1)))
+            for workers in (2, 3):
+                assert "\n".join(csv_lines(run_grid(spec, workers=workers))) == inline
+
+    def test_decider_reports_independent_of_workers(self):
+        spec = tiny_spec(trees=9, budgets=(1, 2), branchings=(2, 3))
+        inline = run_grid(spec, workers=1, decider=fair_coin_decider)
+        pooled = run_grid(spec, workers=2, decider=fair_coin_decider)
+        assert csv_lines(inline) == csv_lines(pooled)
+
+    def test_wall_time_is_measured_per_cell(self):
+        spec = tiny_spec(trees=4, budgets=(5, 20), gammas=(0.5, 1.0), branchings=(2, 3))
+        for workers in (1, 2):
+            times = [r.wall_time for r in run_grid(spec, workers=workers)]
+            assert all(t > 0 for t in times)
+            assert len(set(times)) > 1
+
+    def test_workers_validated(self):
+        with pytest.raises(ValueError):
+            run_grid(tiny_spec(), workers=0)
 
 
 class TestTheoremBound:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from critgames import bitmix
-from critgames.bitmix import GOLDEN
 from critgames.pv_model import (
     PvCursor,
     PvParams,
@@ -36,6 +35,21 @@ class TestPvValue:
             pv_value(params(depth=2), (0, 0, 0))
         with pytest.raises(ValueError):
             pv_value(params(), (2,))
+
+    def test_path_errors_match_tree_model(self):
+        from critgames.tree_model import GameParams, node_value
+
+        for path in ((0, 0, 0), (2,), (-1,)):
+            with pytest.raises(ValueError) as pv_error:
+                pv_value(params(depth=2), path)
+            with pytest.raises(ValueError) as tree_error:
+                node_value(GameParams(2, 1.0, 2, 0), path)
+            assert str(pv_error.value) == str(tree_error.value)
+
+    def test_cursor_children_stay_pv_cursors(self):
+        cursor = PvCursor.walk(params(b=3, cost=2), (1, 0, 2))
+        assert type(cursor) is PvCursor
+        assert cursor.value == pv_value(params(b=3, cost=2), (1, 0, 2))
 
     def test_exactly_one_optimal_root_child(self):
         for seed in range(100):
@@ -176,6 +190,6 @@ class TestNaivePlan:
             sign = -1 if depth % 2 == 0 else 1
             off = np.asarray([idx], dtype=np.int64) != designated.astype(np.int64)
             values = values + np.where(off, sign * 2, 0)
-            step = (np.asarray([idx], dtype=np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
-            states = bitmix.mix64_np(states ^ step)
+            states = bitmix.child_state_np(states, np.asarray([idx]))
         assert int(values[0]) == cursor.value
+        assert int(states[0]) == cursor.state

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critgames.heuristics import EvalContext, evaluate, gaussian, perfect
+from critgames.heuristics import EvalContext, evaluate, gaussian, parse_heuristic, perfect
 from critgames.search_minimax import (
     MinimaxConfig,
     alphabeta,
@@ -131,6 +131,41 @@ class TestPruningEquivalence:
         params = make_params(b=3, gamma=0.6, d_max=9, seed=5)
         cfg = MinimaxConfig(5, gaussian(0.3), seed=77)
         assert alphabeta(params, (), cfg) == alphabeta(params, (), cfg)
+
+
+# Exact (value, best_action, frontier_evals) of alphabeta on GameParams(b,
+# 1.0, 12, seed) with MinimaxConfig(depth, heuristic, seed + 100), recorded
+# from the separate Max/Min recursion the negamax form replaced.
+GOLDEN_ALPHABETA = [
+    (2, (), "gaussian:0.3", 3, 5, 0.8087997974743567, 0, 17),
+    (2, (), "gaussian:0.3", 17, 3, 0.8246175869591064, 0, 6),
+    (2, (), "histogram:chess_p10_light", 3, 5, 0.5489399106354409, 0, 19),
+    (2, (), "histogram:chess_p10_light", 17, 3, 0.538143811200787, 0, 5),
+    (2, (1,), "gaussian:0.3", 3, 5, 0.2771495155072778, 1, 22),
+    (2, (1,), "gaussian:0.3", 17, 3, 0.0, 0, 6),
+    (2, (1,), "histogram:chess_p10_light", 3, 5, 0.5335919347603113, 0, 21),
+    (2, (1,), "histogram:chess_p10_light", 17, 3, 0.3646221771691159, 0, 8),
+    (3, (), "gaussian:0.3", 3, 5, 0.6214574845627263, 0, 93),
+    (3, (), "gaussian:0.3", 17, 3, 0.5824230930043128, 2, 21),
+    (3, (), "histogram:chess_p10_light", 3, 5, 0.5851524313652036, 0, 89),
+    (3, (), "histogram:chess_p10_light", 17, 3, 0.543641310519612, 0, 18),
+    (3, (1,), "gaussian:0.3", 3, 5, 0.4905066715577525, 2, 126),
+    (3, (1,), "gaussian:0.3", 17, 3, 0.0, 2, 20),
+    (3, (1,), "histogram:chess_p10_light", 3, 5, 0.4487773927006266, 1, 129),
+    (3, (1,), "histogram:chess_p10_light", 17, 3, 0.4290307310421829, 2, 24),
+]
+
+
+class TestGoldenValues:
+    def test_alphabeta_golden_table(self):
+        for b, path, heuristic, seed, depth, value, action, evals in GOLDEN_ALPHABETA:
+            params = GameParams(b, 1.0, 12, seed)
+            cfg = MinimaxConfig(depth, parse_heuristic(heuristic), seed + 100)
+            res = alphabeta(params, path, cfg)
+            # hex() tells 0.0 from -0.0, so a stray negamax sign shows
+            assert (res.value.hex(), res.best_action, res.frontier_evals) == (
+                value.hex(), action, evals
+            ), (b, path, heuristic, seed, depth)
 
 
 class TestPruningBenefit:
