@@ -59,6 +59,12 @@ def indexed_u64(state: int, tag: int, index: int) -> int:
     return mix64(state ^ tag ^ (((index + 1) * _MULT_B) & MASK64))
 
 
+def eval_key(seed: int) -> int:
+    """Base key of a search's evaluation noise; node s draws from
+    ``KeyedDraws(eval_key(seed) ^ s.state)`` in every search."""
+    return mix64(seed ^ EVAL_TAG)
+
+
 class KeyedDraws:
     """Counter-based stand-in for `random.Random` in evaluators.
 

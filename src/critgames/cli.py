@@ -144,6 +144,7 @@ SUB_OPTS: dict[str, dict[str, Opt]] = {
         "checkpoints": Opt(_ints, (), "comma-separated decision checkpoints (uct)"),
         "depth": Opt(int, 4, "lookahead depth (alphabeta)"),
         "path": Opt(_ints, (), "start node as comma-separated child indices"),
+        "trace": Opt(str, "", "file for the per-iteration path and reward (uct)"),
     },
     "experiment": {
         "gammas": Opt(_floats, (0.9, 1.0), "critical rates"),
@@ -335,6 +336,8 @@ def _cmd_search(cfg: dict[str, object]) -> int:
         algo = cfg["algo"]
         if algo not in ("uct", "alphabeta"):
             raise ValueError(f"unknown algorithm {algo!r}")
+        if cfg["trace"] and algo != "uct":
+            raise ValueError("--trace is for --algo uct only")
     path = _out_dir(cfg) / "search.json"
     if algo == "uct":
         with _as_usage():
@@ -342,7 +345,9 @@ def _cmd_search(cfg: dict[str, object]) -> int:
                 exploration=cfg["c"], budget=cfg["budget"], heuristic=heuristic,
                 seed=cfg["seed"], checkpoints=tuple(cfg["checkpoints"]),
             )
-        result = uct_search(params, search_cfg)
+        trace_path = str(cfg["trace"])
+        with open(trace_path, "w") if trace_path else contextlib.nullcontext() as trace:
+            result = uct_search(params, search_cfg, trace)
         path.write_text(result.to_json() + "\n")
         print(
             f"uct: final action {result.final_action}, {result.node_count} nodes, "

@@ -12,9 +12,10 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, replace
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from ..heuristics import HistogramPdf, normalized
+from .transport import EngineTimeout
 
 log = logging.getLogger("critgames.engine")
 
@@ -47,6 +48,11 @@ CRITICAL_RATE_HEADER = "fen,b,parent_sign,gamma_tilde"
 # MultiPV ceiling used for the move-list fallback; no legal chess
 # position has more moves than this.
 _FALLBACK_MULTIPV = 500
+
+# Most reply lines read for one `go` before the engine is given up on.
+# Far above what a fixed-depth search or a perft listing prints, so only
+# an engine that streams without ever finishing its reply reaches it.
+MAX_GO_LINES = 100_000
 
 
 def _field(tokens: list[str], name: str, offset: int = 1) -> str:
@@ -190,6 +196,13 @@ class EngineSession:
         self.transcript.append(("<", line))
         return line
 
+    def _go(self, command: str) -> Iterator[str]:
+        """Sends `go ...` and yields its reply lines, at most MAX_GO_LINES."""
+        self._send(command)
+        for _ in range(MAX_GO_LINES):
+            yield self._recv()
+        raise EngineTimeout(f"no end to the reply to {command!r} within {MAX_GO_LINES} lines")
+
     def _drain_until(self, terminator: str) -> list[str]:
         lines = []
         while True:
@@ -233,10 +246,8 @@ class EngineSession:
         if cached is not None:
             return cached
         self._send(position.command())
-        self._send(f"go depth {depth}")
         slots: dict[int, EvalRecord] = {}
-        while True:
-            line = self._recv()
+        for line in self._go(f"go depth {depth}"):
             tokens = line.split()
             if not tokens:
                 continue
@@ -279,10 +290,8 @@ class EngineSession:
 
     def _perft_moves(self, position: Position) -> tuple[str, ...]:
         self._send(position.command())
-        self._send("go perft 1")
         moves = []
-        while True:
-            line = self._recv()
+        for line in self._go("go perft 1"):
             if line.startswith("Nodes searched"):
                 break
             head, sep, tail = line.partition(":")

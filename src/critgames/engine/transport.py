@@ -16,7 +16,8 @@ from typing import Sequence
 
 
 class EngineTimeout(Exception):
-    """The engine produced no line within the allowed time."""
+    """The engine produced no line within the allowed time, or never
+    finished a reply."""
 
 
 class ReplayMismatch(Exception):

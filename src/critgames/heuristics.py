@@ -10,11 +10,12 @@ keying the stream off the node's identity.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .tree_model import PLUS, GameParams, Player, subtree_plus_density
 
@@ -136,8 +137,9 @@ def playout_linf() -> HeuristicSpec:
     return HeuristicSpec("playout-linf")
 
 
-@dataclass(frozen=True)
-class EvalContext:
+class EvalContext(NamedTuple):
+    """What an evaluator may know of a node; built once per evaluation."""
+
     value: int
     player: Player
     depth: int
@@ -203,8 +205,13 @@ def save_histogram(pdf: HistogramPdf, path: str | Path, comment: str | None = No
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@functools.cache
 def bundled_histogram(name: str) -> HistogramPdf:
-    """Load a histogram shipped with the package, e.g. 'chess_p10_light'."""
+    """Load a histogram shipped with the package, e.g. 'chess_p10_light'.
+
+    Package data never changes and a HistogramPdf is immutable, so each
+    name is read once per process; file-path histograms are not cached.
+    """
     ref = resources.files("critgames.data") / f"{name}.hist"
     with resources.as_file(ref) as path:
         return load_histogram(path, label=name)

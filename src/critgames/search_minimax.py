@@ -3,9 +3,11 @@ exhaustive unpruned oracle.
 
 Frontier nodes (relative depth d_s, or terminal) are scored by the
 heuristic; terminals return their true utility. Heuristic noise is
-keyed by (search seed, node state) alone, so pruning cannot change the
-value any frontier node would report and the pruned and unpruned
-searches are exactly comparable.
+``KeyedDraws(eval_key(seed) ^ node.state)``, keyed by (search seed,
+node state) alone, so pruning cannot change the value any frontier node
+would report and the pruned and unpruned searches are exactly
+comparable. UCT keys its noise the same way, so both searches give a
+node the same evaluation under the same seed.
 
 Both searches are in negamax form (Knuth & Moore, AI 1975): one
 recursion scores each node for the player on move, with frontier values
@@ -18,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from random import Random
+from random import Random  # unused here, kept: the benchmark's traced run wraps this name
 from typing import Callable, Sequence
 
-from . import bitmix
+from .bitmix import KeyedDraws, eval_key
 from .heuristics import EvalContext, HeuristicSpec, evaluate
-from .tree_model import PLUS, GameParams, NodeCursor
+from .tree_model import PLUS, GameParams, NodeCursor, player_at
 
 REFERENCE_CAP = 10**6
 
@@ -48,19 +50,23 @@ class MinimaxResult:
     frontier_evals: int
 
 
-def frontier_seed(seed: int, state: int) -> int:
-    """Stream seed for one frontier node; a function of (seed, state) only."""
-    return bitmix.mix64(bitmix.mix64(seed ^ bitmix.EVAL_TAG) ^ state)
+def _frontier_scorer(params: GameParams, cfg: MinimaxConfig) -> Callable[[NodeCursor], float]:
+    """Scores a frontier node for the player on move: Max's value, negated
+    on Min levels. The noise key is computed once per search."""
+    key = eval_key(cfg.seed)
+    heuristic = cfg.heuristic
+    max_depth = params.max_depth
 
+    def score(cursor: NodeCursor) -> float:
+        depth = cursor.depth
+        if depth >= max_depth:
+            value = 1.0 if cursor.value == PLUS else 0.0
+        else:
+            ctx = EvalContext(cursor.value, player_at(depth), depth, params)
+            value = evaluate(heuristic, ctx, KeyedDraws(key ^ cursor.state))
+        return -value if depth & 1 else value
 
-def _frontier_score(cursor: NodeCursor, cfg: MinimaxConfig) -> float:
-    """Frontier value for the player on move: Max's value, negated on Min levels."""
-    if cursor.terminal:
-        value = 1.0 if cursor.value == PLUS else 0.0
-    else:
-        ctx = EvalContext(cursor.value, cursor.player, cursor.depth, cursor.params)
-        value = evaluate(cfg.heuristic, ctx, Random(frontier_seed(cfg.seed, cursor.state)))
-    return -value if cursor.depth % 2 else value
+    return score
 
 
 def _root_search(
@@ -83,14 +89,15 @@ def _root_search(
 
 
 def alphabeta(params: GameParams, path: Sequence[int], cfg: MinimaxConfig) -> MinimaxResult:
-    b = params.branching_factor
+    b, max_depth = params.branching_factor, params.max_depth
+    frontier = _frontier_scorer(params, cfg)
     evals = 0
 
     def rec(cursor: NodeCursor, remaining: int, alpha: float, beta: float) -> float:
         nonlocal evals
-        if cursor.terminal or remaining == 0:
+        if remaining == 0 or cursor.depth >= max_depth:
             evals += 1
-            return _frontier_score(cursor, cfg)
+            return frontier(cursor)
         best = -inf
         for i in range(b):
             v = -rec(cursor.child(i), remaining - 1, -beta, -alpha)
@@ -112,13 +119,14 @@ def minimax_reference(params: GameParams, path: Sequence[int], cfg: MinimaxConfi
     b = params.branching_factor
     if b**cfg.depth > REFERENCE_CAP:
         raise ValueError(f"reference search of {b}^{cfg.depth} frontier nodes exceeds cap")
+    frontier = _frontier_scorer(params, cfg)
     evals = 0
 
     def rec(cursor: NodeCursor, remaining: int) -> float:
         nonlocal evals
         if cursor.terminal or remaining == 0:
             evals += 1
-            return _frontier_score(cursor, cfg)
+            return frontier(cursor)
         return max(-rec(cursor.child(i), remaining - 1) for i in range(b))
 
     value, action = _root_search(params, path, lambda child, _: -rec(child, cfg.depth - 1))

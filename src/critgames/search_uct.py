@@ -200,7 +200,7 @@ def uct_search(params: GameParams, cfg: UctConfig, trace: TextIO | None = None) 
     indexed_u64, select_tag = bitmix.indexed_u64, bitmix.SELECT_TAG
 
     select_base = bitmix.mix64(cfg.seed ^ select_tag)
-    eval_base = bitmix.mix64(cfg.seed ^ bitmix.EVAL_TAG)
+    eval_base = bitmix.eval_key(cfg.seed)
     decide_base = bitmix.mix64(cfg.seed ^ bitmix.DECIDE_TAG)
 
     root_cursor = NodeCursor.root(params)

@@ -89,17 +89,20 @@ def check_path(params: GameParams, path: Sequence[int]) -> tuple[int, ...]:
     return path
 
 
-@dataclass(frozen=True)
 class NodeCursor:
     """Lazy handle on one node: its value plus the state seeding its child draws.
 
-    A subclass replaces only the growth rule, `child_value`.
+    A subclass replaces only the growth rule, `child_value`. One is built
+    per visited node, hence the slots; cursors are never hashed or compared.
     """
 
-    params: GameParams
-    depth: int
-    value: int
-    state: int
+    __slots__ = ("params", "depth", "value", "state")
+
+    def __init__(self, params: GameParams, depth: int, value: int, state: int) -> None:
+        self.params = params
+        self.depth = depth
+        self.value = value
+        self.state = state
 
     @classmethod
     def root(cls, params: GameParams) -> "NodeCursor":
@@ -128,12 +131,16 @@ class NodeCursor:
         return bitmix.stream_u64(self.state, DESIGNATED_TAG) % self.params.branching_factor
 
     def child_value(self, index: int) -> int:
-        if self.terminal:
+        # `terminal`, `is_choice` and `designated_index` inlined: this runs once per node
+        params, depth, value = self.params, self.depth, self.value
+        if depth >= params.max_depth:
             raise ValueError("terminal node has no children")
-        if not self.is_choice or index == self.designated_index:
-            return self.value
+        if value != (MINUS if depth & 1 else PLUS):  # forced node
+            return value
+        if index == bitmix.stream_u64(self.state, DESIGNATED_TAG) % params.branching_factor:
+            return value
         u = bitmix.unit(bitmix.indexed_u64(self.state, FLIP_TAG, index))
-        return -self.value if u < self.params.critical_rate else self.value
+        return -value if u < params.critical_rate else value
 
     def child(self, index: int) -> "NodeCursor":
         value = self.child_value(index)
@@ -180,11 +187,7 @@ def plus_density(params: GameParams, n: int) -> float:
     """Density of +1 nodes at depth n, by the level recurrence."""
     if not 0 <= n <= params.max_depth:
         raise ValueError(f"depth {n} out of range [0, {params.max_depth}]")
-    k = density_coefficient(params)
-    f = 1.0
-    for level in range(n):
-        f = f * k if level % 2 == 0 else f * k + 1.0 - k
-    return f
+    return subtree_plus_density(params, PLUS, Player.MAX, n)
 
 
 class DensityLimits(NamedTuple):

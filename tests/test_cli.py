@@ -226,6 +226,30 @@ class TestSearchCommand:
         assert code == 1
         assert "unknown algorithm" in err
 
+    def test_uct_trace_file(self, capsys, tmp_path):
+        args = ("search", "--budget", "60", "--max-depth", "8",
+                "--heuristic", "gaussian:0.3", "--seed", "4")
+        trace = tmp_path / "trace.csv"
+        assert run(capsys, *args, "--out-dir", str(tmp_path / "plain"))[0] == 0
+        assert run(capsys, *args, "--out-dir", str(tmp_path / "traced"),
+                   "--trace", str(trace))[0] == 0
+        assert (tmp_path / "plain" / "search.json").read_bytes() == (
+            tmp_path / "traced" / "search.json"
+        ).read_bytes()
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "iteration,path,reward"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 61))
+
+    def test_trace_needs_uct(self, capsys, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code, _, err = run(
+            capsys, "search", "--algo", "alphabeta", "--trace", str(trace),
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert "--trace" in err
+        assert not trace.exists()
+
 
 class TestExperimentCommand:
     def test_bundled_config_baseline_index_is_one(self, capsys, tmp_path):

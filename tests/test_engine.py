@@ -22,6 +22,7 @@ from critgames.engine import (
     run_probe,
     save_transcript,
 )
+from critgames.engine import session as session_module
 from critgames.engine.mock_engine import main as mock_main
 from critgames.heuristics import load_histogram, save_histogram
 
@@ -272,6 +273,21 @@ class TestEvalParsing:
         )
         assert slots == {1: EvalRecord(move="a1a8", kind="cp", score=140)}
         assert session.warnings == [bad]
+
+
+    def test_endless_info_stream_is_cut_off(self, monkeypatch):
+        # without the bound the replay would run past its end instead
+        monkeypatch.setattr(session_module, "MAX_GO_LINES", 5)
+        with pytest.raises(EngineTimeout, match="'go depth 20' within 5 lines"):
+            self.run_probe_eval(["info depth 20 score cp 10 pv a1a8"] * 8)
+
+    def test_endless_perft_listing_is_cut_off(self, monkeypatch):
+        monkeypatch.setattr(session_module, "MAX_GO_LINES", 5)
+        pos = Position(fen=FEN_A)
+        entries = [(">", pos.command()), (">", "go perft 1")] + [("<", "a1a2: 1")] * 8
+        session = EngineSession(ReplayTransport(entries), ProbeConfig())
+        with pytest.raises(EngineTimeout, match="'go perft 1' within 5 lines"):
+            session.legal_moves(pos)
 
 
 class TestLegalMoves:

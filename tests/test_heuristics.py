@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critgames import heuristics
 from critgames.heuristics import (
     EvalContext,
     HeuristicSpec,
@@ -244,6 +245,28 @@ class TestParseHeuristic:
         assert perfect().label == "perfect"
         assert gaussian(0.25).label == "gaussian(0.25)"
         assert parse_heuristic("histogram:chess_p10_heavy").label == "hist:chess_p10_heavy"
+
+    def test_bundled_histogram_read_once(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counting_load(*args, **kwargs):
+            calls.append(args)
+            return load_histogram(*args, **kwargs)
+
+        monkeypatch.setattr(heuristics, "load_histogram", counting_load)
+        bundled_histogram.cache_clear()
+        try:
+            specs = [parse_heuristic("histogram:chess_p10_light") for _ in range(3)]
+            assert len(calls) == 1
+            assert specs[0] == specs[1] == specs[2]
+            # file-path histograms are read on every call
+            path = tmp_path / "own.hist"
+            path.write_text("bins=2\nplus=1 0\nminus=0 1\n")
+            parse_heuristic(f"histogram:{path}")
+            parse_heuristic(f"histogram:{path}")
+            assert len(calls) == 3
+        finally:
+            bundled_histogram.cache_clear()
 
     def test_rejects(self):
         for text in ("nope", "histogram", "histogram:missing_name", "gaussian:x"):

@@ -6,18 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critgames.bitmix import KeyedDraws, eval_key
 from critgames.heuristics import EvalContext, evaluate, gaussian, parse_heuristic, perfect
-from critgames.search_minimax import (
-    MinimaxConfig,
-    alphabeta,
-    frontier_seed,
-    minimax_reference,
-)
+from critgames.search_minimax import MinimaxConfig, alphabeta, minimax_reference
+from critgames.search_uct import UctConfig, uct_search
 from critgames.tree_model import MINUS, PLUS, GameParams, node_meta, walk
 
 
 def make_params(b=2, gamma=1.0, d_max=8, seed=1):
     return GameParams(branching_factor=b, critical_rate=gamma, max_depth=d_max, seed=seed)
+
+
+def frontier_eval(params, path, cfg):
+    """Max's reward at the node at path, built from the documented key."""
+    node = walk(params, path)
+    ctx = EvalContext(node.value, node.player, node.depth, params)
+    return evaluate(cfg.heuristic, ctx, KeyedDraws(eval_key(cfg.seed) ^ node.state))
 
 
 class TestConfig:
@@ -64,26 +68,14 @@ class TestSmallOracles:
         params = make_params(d_max=6, seed=7)
         cfg = MinimaxConfig(1, gaussian(0.4), seed=9)
         res = minimax_reference(params, (), cfg)
-        evals = []
-        for i in range(2):
-            child = walk(params, (i,))
-            rng = Random(frontier_seed(cfg.seed, child.state))
-            ctx = EvalContext(child.value, child.player, child.depth, params)
-            evals.append(evaluate(cfg.heuristic, ctx, rng))
+        evals = [frontier_eval(params, (i,), cfg) for i in range(2)]
         assert res.value == max(evals)
         assert res.best_action == evals.index(max(evals))
 
     def test_hand_built_depth_two(self):
         params = make_params(d_max=10, seed=21)
         cfg = MinimaxConfig(2, gaussian(0.3), seed=4)
-
-        def frontier(path):
-            node = walk(params, path)
-            rng = Random(frontier_seed(cfg.seed, node.state))
-            ctx = EvalContext(node.value, node.player, node.depth, params)
-            return evaluate(cfg.heuristic, ctx, rng)
-
-        by_hand = [min(frontier((i, j)) for j in range(2)) for i in range(2)]
+        by_hand = [min(frontier_eval(params, (i, j), cfg) for j in range(2)) for i in range(2)]
         expected_value = max(by_hand)
         expected_action = by_hand.index(expected_value)
         for search in (alphabeta, minimax_reference):
@@ -99,15 +91,20 @@ class TestPruningEquivalence:
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=0, max_value=2**32),
         st.integers(min_value=0, max_value=2**32),
+        st.sampled_from(["gaussian:0.4", "histogram:chess_p10_light"]),
+        st.lists(st.integers(min_value=0, max_value=1), max_size=3),
     )
     @settings(max_examples=150, deadline=None)
-    def test_alphabeta_matches_reference(self, b, gamma, depth, tree_seed, noise_seed):
+    def test_alphabeta_matches_reference(
+        self, b, gamma, depth, tree_seed, noise_seed, heuristic, start
+    ):
         params = make_params(b=b, gamma=gamma, d_max=8, seed=tree_seed)
-        cfg = MinimaxConfig(depth, gaussian(0.4), seed=noise_seed)
-        fast = alphabeta(params, (), cfg)
-        slow = minimax_reference(params, (), cfg)
+        cfg = MinimaxConfig(depth, parse_heuristic(heuristic), seed=noise_seed)
+        fast = alphabeta(params, start, cfg)
+        slow = minimax_reference(params, start, cfg)
         assert fast.value == slow.value
         assert fast.best_action == slow.best_action
+        assert fast.frontier_evals <= slow.frontier_evals
 
     def test_thousand_instances_exact(self):
         rng = Random(2024)
@@ -135,24 +132,24 @@ class TestPruningEquivalence:
 
 # Exact (value, best_action, frontier_evals) of alphabeta on GameParams(b,
 # 1.0, 12, seed) with MinimaxConfig(depth, heuristic, seed + 100), recorded
-# from the separate Max/Min recursion the negamax form replaced.
+# when frontier noise moved to KeyedDraws(eval_key(seed) ^ state).
 GOLDEN_ALPHABETA = [
-    (2, (), "gaussian:0.3", 3, 5, 0.8087997974743567, 0, 17),
-    (2, (), "gaussian:0.3", 17, 3, 0.8246175869591064, 0, 6),
-    (2, (), "histogram:chess_p10_light", 3, 5, 0.5489399106354409, 0, 19),
-    (2, (), "histogram:chess_p10_light", 17, 3, 0.538143811200787, 0, 5),
-    (2, (1,), "gaussian:0.3", 3, 5, 0.2771495155072778, 1, 22),
+    (2, (), "gaussian:0.3", 3, 5, 0.8085066567925039, 0, 30),
+    (2, (), "gaussian:0.3", 17, 3, 1.0, 0, 6),
+    (2, (), "histogram:chess_p10_light", 3, 5, 0.6281889762713001, 1, 25),
+    (2, (), "histogram:chess_p10_light", 17, 3, 0.6243794311918008, 0, 6),
+    (2, (1,), "gaussian:0.3", 3, 5, 0.3032227902664086, 1, 23),
     (2, (1,), "gaussian:0.3", 17, 3, 0.0, 0, 6),
-    (2, (1,), "histogram:chess_p10_light", 3, 5, 0.5335919347603113, 0, 21),
-    (2, (1,), "histogram:chess_p10_light", 17, 3, 0.3646221771691159, 0, 8),
-    (3, (), "gaussian:0.3", 3, 5, 0.6214574845627263, 0, 93),
-    (3, (), "gaussian:0.3", 17, 3, 0.5824230930043128, 2, 21),
-    (3, (), "histogram:chess_p10_light", 3, 5, 0.5851524313652036, 0, 89),
-    (3, (), "histogram:chess_p10_light", 17, 3, 0.543641310519612, 0, 18),
-    (3, (1,), "gaussian:0.3", 3, 5, 0.4905066715577525, 2, 126),
-    (3, (1,), "gaussian:0.3", 17, 3, 0.0, 2, 20),
-    (3, (1,), "histogram:chess_p10_light", 3, 5, 0.4487773927006266, 1, 129),
-    (3, (1,), "histogram:chess_p10_light", 17, 3, 0.4290307310421829, 2, 24),
+    (2, (1,), "histogram:chess_p10_light", 3, 5, 0.42920022368297167, 0, 16),
+    (2, (1,), "histogram:chess_p10_light", 17, 3, 0.5264508847399851, 0, 6),
+    (3, (), "gaussian:0.3", 3, 5, 0.5376149843632883, 2, 149),
+    (3, (), "gaussian:0.3", 17, 3, 0.6442616880355483, 2, 21),
+    (3, (), "histogram:chess_p10_light", 3, 5, 0.5449442186074713, 0, 97),
+    (3, (), "histogram:chess_p10_light", 17, 3, 0.5436557486427448, 2, 22),
+    (3, (1,), "gaussian:0.3", 3, 5, 0.18085248850687843, 0, 89),
+    (3, (1,), "gaussian:0.3", 17, 3, 0.055988557764582385, 2, 20),
+    (3, (1,), "histogram:chess_p10_light", 3, 5, 0.4151121234870211, 0, 73),
+    (3, (1,), "histogram:chess_p10_light", 17, 3, 0.5113380285705934, 2, 18),
 ]
 
 
@@ -193,11 +190,30 @@ class TestFrontierNoise:
     def test_keyed_by_seed_and_state_only(self):
         params = make_params(d_max=6, seed=13)
         node = walk(params, (0, 1))
-        a = frontier_seed(42, node.state)
-        assert a == frontier_seed(42, node.state)
-        assert a != frontier_seed(43, node.state)
+        a = eval_key(42) ^ node.state
+        assert a == eval_key(42) ^ walk(params, (0, 1)).state
+        assert a != eval_key(43) ^ node.state
         other = walk(params, (1, 0))
-        assert a != frontier_seed(42, other.state)
+        assert a != eval_key(42) ^ other.state
+        # a node scores the same whichever search root reaches it
+        cfg = MinimaxConfig(1, gaussian(0.4), seed=42)
+        from_parent = alphabeta(params, (0,), cfg).value
+        assert from_parent == min(frontier_eval(params, (0, j), cfg) for j in range(2))
+
+    @pytest.mark.parametrize("heuristic", ["gaussian:0.3", "histogram:chess_p10_light"])
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_uct_and_alphabeta_evaluate_a_node_alike(self, b, heuristic):
+        params = make_params(b=b, gamma=0.7, d_max=10, seed=31)
+        spec = parse_heuristic(heuristic)
+        # iterations 2..b+1 expand each root child once, so its mean is its one reward
+        root = uct_search(params, UctConfig(1.0, b + 1, spec, seed=8)).tree.root
+        assert [child.n for child in root.children] == [1] * b
+        uct_rewards = [child.q for child in root.children]
+        cfg = MinimaxConfig(1, spec, seed=8)
+        assert uct_rewards == [frontier_eval(params, (i,), cfg) for i in range(b)]
+        res = alphabeta(params, (), cfg)
+        assert res.value == max(uct_rewards)
+        assert res.best_action == uct_rewards.index(res.value)
 
     def test_terminal_frontier_is_true_utility(self):
         params = make_params(d_max=3, seed=9)

@@ -181,6 +181,22 @@ class TestPlusDensity:
         with pytest.raises(ValueError):
             plus_density(params(depth=5), -1)
 
+    def test_equals_former_level_loop_exactly(self):
+        # plus_density now delegates to subtree_plus_density; this is the
+        # loop it ran before, so every float operation must match
+        def level_loop(p, n):
+            k = 1.0 - p.critical_rate + p.critical_rate / p.branching_factor
+            f = 1.0
+            for level in range(n):
+                f = f * k if level % 2 == 0 else f * k + 1.0 - k
+            return f
+
+        for b in (2, 3, 10):
+            for gamma in (0.0, 0.5, 0.9, 1.0):
+                p = params(b=b, gamma=gamma, depth=30)
+                for n in range(31):
+                    assert plus_density(p, n) == level_loop(p, n), (b, gamma, n)
+
     def test_matches_enumeration_small(self):
         for gamma, b in [(0.5, 2), (0.9, 3), (1.0, 2)]:
             profile = mean_plus_fractions(b, gamma, 8, range(400))
