@@ -20,6 +20,7 @@ import os
 import shlex
 import sys
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence
@@ -399,12 +400,11 @@ def _cmd_pv_check(cfg: dict[str, object]) -> int:
         depth_max, seeds, cost = cfg["depth_max"], cfg["seeds"], cfg["cost"]
         if depth_max < 0 or seeds < 1:
             raise ValueError("depth_max must be >= 0 and seeds >= 1")
-        PvParams(branching_factor=2, max_depth=depth_max + 1, seed=0, cost=cost)
+        pv_params = partial(PvParams, branching_factor=2, cost=cost)
+        pv_params(max_depth=depth_max + 1, seed=0)
     checked = failures = 0
     for seed in range(seeds):
-        params = PvParams(
-            branching_factor=2, max_depth=depth_max + 1, seed=seed, cost=cost,
-        )
+        params = pv_params(max_depth=depth_max + 1, seed=seed)
         for d in range(depth_max + 1):
             checked += 1
             if leaf_sum_difference(params, d) != cost * 2**d:
@@ -413,15 +413,13 @@ def _cmd_pv_check(cfg: dict[str, object]) -> int:
     print(f"separation: {checked - failures}/{checked} {status} (d <= {depth_max})")
 
     with _as_usage():
-        PvParams(branching_factor=2, max_depth=cfg["pv_depth"], seed=0, cost=cost)
+        pv_params(max_depth=cfg["pv_depth"], seed=0)
         instances, playouts = cfg["instances"], cfg["playouts"]
         if instances < 1:
             raise ValueError("instances must be >= 1")
     hits = 0
     for seed in range(instances):
-        params = PvParams(
-            branching_factor=2, max_depth=cfg["pv_depth"], seed=seed, cost=cost,
-        )
+        params = pv_params(max_depth=cfg["pv_depth"], seed=seed)
         if pv_naive_plan(params, playouts, rng_seed=seed) == pv_optimal_root_child(params):
             hits += 1
     print(f"planner accuracy: {hits / instances:.3f} ({hits}/{instances})")

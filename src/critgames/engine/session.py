@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 from ..heuristics import HistogramPdf, normalized
 from .transport import EngineTimeout
@@ -49,10 +49,11 @@ CRITICAL_RATE_HEADER = "fen,b,parent_sign,gamma_tilde"
 # position has more moves than this.
 _FALLBACK_MULTIPV = 500
 
-# Most reply lines read for one `go` before the engine is given up on.
-# Far above what a fixed-depth search or a perft listing prints, so only
-# an engine that streams without ever finishing its reply reaches it.
-MAX_GO_LINES = 100_000
+# Most lines read for one reply before the engine is given up on. Far
+# above what the handshake, a fixed-depth search or a perft listing
+# prints, so only an engine that streams without ever finishing its
+# reply reaches it.
+MAX_REPLY_LINES = 100_000
 
 
 def _field(tokens: list[str], name: str, offset: int = 1) -> str:
@@ -153,6 +154,11 @@ class EvalRecord:
         return 1.0 / (1.0 + 10.0 ** (-self.score / 400.0))
 
 
+def _ranked_moves(slots: dict[int, EvalRecord]) -> tuple[str, ...]:
+    """The moves of the scored slots in rank order; moveless slots are left out."""
+    return tuple(rec.move for _, rec in sorted(slots.items()) if rec.move is not None)
+
+
 @dataclass(frozen=True)
 class CriticalRateRecord:
     position: str
@@ -196,35 +202,31 @@ class EngineSession:
         self.transcript.append(("<", line))
         return line
 
-    def _go(self, command: str) -> Iterator[str]:
-        """Sends `go ...` and yields its reply lines, at most MAX_GO_LINES."""
+    def _exchange(self, command: str, terminator: str) -> list[str]:
+        """Sends `command` and returns its reply lines up to and including
+        the first that starts with `terminator`; EngineTimeout if none does
+        within MAX_REPLY_LINES. Options the engine rejects go to `warnings`."""
         self._send(command)
-        for _ in range(MAX_GO_LINES):
-            yield self._recv()
-        raise EngineTimeout(f"no end to the reply to {command!r} within {MAX_GO_LINES} lines")
-
-    def _drain_until(self, terminator: str) -> list[str]:
         lines = []
-        while True:
+        for _ in range(MAX_REPLY_LINES):
             line = self._recv()
             if line.startswith("info string No such option"):
                 self.warnings.append(line)
                 log.warning("engine rejected an option: %s", line)
             lines.append(line)
-            if line.split() and line.split()[0] == terminator:
+            if line.startswith(terminator):
                 return lines
+        raise EngineTimeout(f"no end to the reply to {command!r} within {MAX_REPLY_LINES} lines")
 
     # -- protocol steps --------------------------------------------------
 
     def handshake(self) -> None:
-        self._send("uci")
-        self._drain_until("uciok")
+        self._exchange("uci", "uciok")
         for name, value in self.cfg.resolved_options():
             self._send(f"setoption name {name} value {value}")
         self._multipv = self.cfg.multipv
         self._send("ucinewgame")
-        self._send("isready")
-        self._drain_until("readyok")
+        self._exchange("isready", "readyok")
 
     def _set_multipv(self, value: int) -> None:
         if value != self._multipv:
@@ -247,13 +249,9 @@ class EngineSession:
             return cached
         self._send(position.command())
         slots: dict[int, EvalRecord] = {}
-        for line in self._go(f"go depth {depth}"):
+        for line in self._exchange(f"go depth {depth}", "bestmove"):
             tokens = line.split()
-            if not tokens:
-                continue
-            if tokens[0] == "bestmove":
-                break
-            if tokens[0] != "info" or "score" not in tokens:
+            if not tokens or tokens[0] != "info" or "score" not in tokens:
                 continue
             if "lowerbound" in tokens or "upperbound" in tokens:
                 continue
@@ -272,9 +270,6 @@ class EngineSession:
         self._eval_cache[key] = slots
         return slots
 
-    def _top_eval(self, position: Position, depth: int) -> EvalRecord | None:
-        return self.probe_eval(position, depth).get(1)
-
     def legal_moves(self, position: Position) -> tuple[str, ...]:
         """Lists legal moves via `go perft 1` when the engine supports
         it, otherwise through a wide multipv depth-1 search."""
@@ -291,9 +286,7 @@ class EngineSession:
     def _perft_moves(self, position: Position) -> tuple[str, ...]:
         self._send(position.command())
         moves = []
-        for line in self._go("go perft 1"):
-            if line.startswith("Nodes searched"):
-                break
+        for line in self._exchange("go perft 1", "Nodes searched"):
             head, sep, tail = line.partition(":")
             if sep and head and " " not in head and tail.strip().isdigit():
                 moves.append(head)
@@ -304,9 +297,7 @@ class EngineSession:
         self._set_multipv(_FALLBACK_MULTIPV)
         slots = self.probe_eval(position, 1)
         self._set_multipv(restore)
-        return tuple(
-            rec.move for _, rec in sorted(slots.items()) if rec.move is not None
-        )
+        return _ranked_moves(slots)
 
     # -- probe operations ------------------------------------------------
 
@@ -338,10 +329,7 @@ class EngineSession:
     def _walk_candidates(self, position: Position) -> tuple[str, ...]:
         if self.cfg.mode == "light":
             return self.legal_moves(position)
-        slots = self.probe_eval(position, self.cfg.heavy_depth)
-        return tuple(
-            rec.move for _, rec in sorted(slots.items()) if rec.move is not None
-        )
+        return _ranked_moves(self.probe_eval(position, self.cfg.heavy_depth))
 
     def empirical_gamma(self, position: Position) -> CriticalRateRecord:
         """Estimates the critical rate at one position: the fraction of
@@ -353,7 +341,7 @@ class EngineSession:
         with sign zero are excluded and the divisor shrinks; the
         estimate is clamped into [0, 1]."""
         ident = position.identifier()
-        parent = self._top_eval(position, self.cfg.deep_depth)
+        parent = self.probe_eval(position, self.cfg.deep_depth).get(1)
         parent_sign = parent.sign if parent is not None else 0
         if parent_sign == 0:
             return CriticalRateRecord(
@@ -368,7 +356,7 @@ class EngineSession:
         b = len(moves)
         child_signs = []
         for move in moves:
-            reply = self._top_eval(position.child(move), self.cfg.child_depth)
+            reply = self.probe_eval(position.child(move), self.cfg.child_depth).get(1)
             reply_sign = reply.sign if reply is not None else 0
             child_signs.append(-reply_sign)
         included = [s for s in child_signs if s != 0]
@@ -386,26 +374,23 @@ class EngineSession:
             excluded=excluded, clamped=raw > 1.0,
         )
 
-    def build_eval_histograms(
-        self, positions: Sequence[Position], bins: int = 64
-    ) -> HistogramReport:
+    def build_eval_histograms(self, positions: Sequence[Position]) -> HistogramReport:
         """Bins shallow depth-1 evaluations by the deep-sign class of
         each position. Centipawn scores map through the standard
         logistic 1 / (1 + 10^(-cp/400)); mates saturate to 0 or 1.
         Positions whose deep sign is zero carry no class and are
-        dropped (counted)."""
-        if bins < 1:
-            raise ValueError("bins must be >= 1")
+        dropped (counted). The bin count is `cfg.hist_bins`."""
+        bins = self.cfg.hist_bins
         counts = {1: [0] * bins, -1: [0] * bins}
         tallies = {1: 0, -1: 0}
         dropped = 0
         for position in positions:
-            deep = self._top_eval(position, self.cfg.deep_depth)
+            deep = self.probe_eval(position, self.cfg.deep_depth).get(1)
             klass = deep.sign if deep is not None else 0
             if klass == 0:
                 dropped += 1
                 continue
-            shallow = self._top_eval(position, 1)
+            shallow = self.probe_eval(position, 1).get(1)
             if shallow is None:
                 dropped += 1
                 continue
@@ -460,5 +445,5 @@ def run_probe(session: EngineSession, fens: Sequence[str]) -> ProbeOutputs:
     samples = session.sample_positions(cfg.samples, cfg.plies)
     targets = [Position(fen=fen) for fen in fens]
     records = [session.empirical_gamma(pos) for pos in targets]
-    histograms = session.build_eval_histograms(targets, bins=cfg.hist_bins)
+    histograms = session.build_eval_histograms(targets)
     return ProbeOutputs(samples=samples, records=records, histograms=histograms)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from hashlib import blake2b
 from itertools import product
 from pathlib import Path
@@ -381,42 +381,20 @@ def _svg_panels(reports: list[CellReport]) -> str:
 def manifest_lines(spec: GridSpec) -> list[str]:
     from . import __version__
 
-    lines = [f"critgames {__version__}", "grid:"]
-    for name in (
-        "gammas",
-        "branchings",
-        "explorations",
-        "heuristics",
-        "budgets",
-        "max_depth",
-        "trees",
-        "master_seed",
-        "algorithm",
-    ):
-        lines.append(f"  {name} = {getattr(spec, name)!r}")
-    return lines
+    return [f"critgames {__version__}", "grid:"] + [
+        f"  {f.name} = {getattr(spec, f.name)!r}" for f in fields(spec)
+    ]
 
 
-def emit_results(
-    spec: GridSpec,
-    reports: list[CellReport],
-    out_dir: str | Path,
-    formats: Sequence[str] = ("csv", "svg"),
-) -> list[Path]:
+def emit_results(spec: GridSpec, reports: list[CellReport], out_dir: str | Path) -> list[Path]:
     if not reports:
         raise ValueError("nothing to emit")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        path = out / "results.csv"
-        path.write_text("\n".join(csv_lines(reports)) + "\n")
-        written.append(path)
-    if "svg" in formats:
-        path = out / "pathology.svg"
-        path.write_text(_svg_panels(reports))
-        written.append(path)
-    path = out / "manifest.txt"
-    path.write_text("\n".join(manifest_lines(spec)) + "\n")
-    written.append(path)
-    return written
+    csv_path = out / "results.csv"
+    csv_path.write_text("\n".join(csv_lines(reports)) + "\n")
+    svg_path = out / "pathology.svg"
+    svg_path.write_text(_svg_panels(reports))
+    manifest_path = out / "manifest.txt"
+    manifest_path.write_text("\n".join(manifest_lines(spec)) + "\n")
+    return [csv_path, svg_path, manifest_path]

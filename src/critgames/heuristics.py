@@ -217,6 +217,16 @@ def bundled_histogram(name: str) -> HistogramPdf:
         return load_histogram(path, label=name)
 
 
+@functools.cache
+def _bundled_names() -> frozenset[str]:
+    """Names of the histograms shipped with the package, listed once per process."""
+    return frozenset(
+        entry.name.removesuffix(".hist")
+        for entry in resources.files("critgames.data").iterdir()
+        if entry.name.endswith(".hist")
+    )
+
+
 def parse_heuristic(text: str) -> HeuristicSpec:
     """Parse a heuristic spec string: perfect | gaussian[:sigma] |
     histogram:<bundled name or file path> | playout-l1 | playout-linf."""
@@ -229,8 +239,7 @@ def parse_heuristic(text: str) -> HeuristicSpec:
     if kind in ("histogram", "hist"):
         if not arg:
             raise ValueError("histogram heuristic needs a name or path")
-        candidate = resources.files("critgames.data") / f"{arg}.hist"
-        if candidate.is_file():
+        if arg in _bundled_names():
             return histogram(bundled_histogram(arg))
         if Path(arg).is_file():
             return histogram(load_histogram(arg))

@@ -69,10 +69,8 @@ class _Node:
 class SearchTree:
     """Tracked nodes of one completed search, addressable by path."""
 
-    def __init__(self, params: GameParams, root: _Node, node_count: int) -> None:
-        self.params = params
+    def __init__(self, root: _Node) -> None:
         self.root = root
-        self.node_count = node_count
 
     def nodes(self) -> Iterator[tuple[tuple[int, ...], _Node]]:
         stack: list[tuple[tuple[int, ...], _Node]] = [((), self.root)]
@@ -83,9 +81,6 @@ class SearchTree:
                 for i, child in enumerate(node.children):
                     if child is not None:
                         stack.append((path + (i,), child))
-
-    def records(self) -> dict[tuple[int, ...], tuple[int, float]]:
-        return {path: (node.n, node.q) for path, node in self.nodes()}
 
 
 class BreadthFirstReport(NamedTuple):
@@ -296,10 +291,9 @@ def uct_search(params: GameParams, cfg: UctConfig, trace: TextIO | None = None) 
             pending.pop(0)
             decide(it)
 
-    tree = SearchTree(params, root, node_count)
     return SearchResult(
         checkpoints=tuple(records),
         node_count=node_count,
         depth_histogram=tuple(depth_counts),
-        tree=tree,
+        tree=SearchTree(root),
     )

@@ -7,6 +7,7 @@ seeded, so reruns reproduce the same numbers bit for bit.
 """
 
 import math
+import os
 import random
 import sys
 import time
@@ -76,7 +77,8 @@ def _pathology_grid(gamma: float) -> list:
         master_seed=0,
         algorithm="uct",
     )
-    return run_grid(spec, workers=1)
+    # CSV bytes do not depend on the worker count, so use every core
+    return run_grid(spec, workers=os.cpu_count() or 1)
 
 
 @pytest.fixture(scope="module")

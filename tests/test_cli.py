@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line dispatcher."""
 
 import json
+import shlex
+import sys
 from importlib import resources
 
 import pytest
@@ -360,6 +362,14 @@ class TestProbeCommand:
         )
         assert code == 2
         assert "failed" in err
+
+    def test_engine_that_never_finishes_handshake_is_runtime_error(self, capsys, tmp_path):
+        # prints more lines than one reply may hold, never `uciok`
+        chatter = "for _ in range(150_000): print('y')"
+        engine = f"{shlex.quote(sys.executable)} -c {shlex.quote(chatter)}"
+        code, _, err = run(capsys, "probe", "--engine", engine, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "no end to the reply to 'uci' within 100000 lines" in err
 
     def test_single_class_fens_is_runtime_error(self, capsys, tmp_path):
         fens = tmp_path / "fens.txt"

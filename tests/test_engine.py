@@ -277,12 +277,12 @@ class TestEvalParsing:
 
     def test_endless_info_stream_is_cut_off(self, monkeypatch):
         # without the bound the replay would run past its end instead
-        monkeypatch.setattr(session_module, "MAX_GO_LINES", 5)
+        monkeypatch.setattr(session_module, "MAX_REPLY_LINES", 5)
         with pytest.raises(EngineTimeout, match="'go depth 20' within 5 lines"):
             self.run_probe_eval(["info depth 20 score cp 10 pv a1a8"] * 8)
 
     def test_endless_perft_listing_is_cut_off(self, monkeypatch):
-        monkeypatch.setattr(session_module, "MAX_GO_LINES", 5)
+        monkeypatch.setattr(session_module, "MAX_REPLY_LINES", 5)
         pos = Position(fen=FEN_A)
         entries = [(">", pos.command()), (">", "go perft 1")] + [("<", "a1a2: 1")] * 8
         session = EngineSession(ReplayTransport(entries), ProbeConfig())
@@ -419,7 +419,7 @@ class TestHistograms:
         with live_session(GOLDEN_CFG) as session:
             session.handshake()
             report = session.build_eval_histograms(
-                [Position(fen=fen) for fen in PROBE_FENS], bins=8
+                [Position(fen=fen) for fen in PROBE_FENS]
             )
         assert (report.plus_count, report.minus_count, report.dropped) == (4, 1, 1)
         plus_bins = [i for i, w in enumerate(report.pdf.plus_weights) if w > 0]
@@ -434,7 +434,7 @@ class TestHistograms:
         with live_session(GOLDEN_CFG) as session:
             session.handshake()
             report = session.build_eval_histograms(
-                [Position(fen=fen) for fen in PROBE_FENS], bins=8
+                [Position(fen=fen) for fen in PROBE_FENS]
             )
         path = tmp_path / "probe.hist"
         save_histogram(report.pdf, path, comment="probe histogram")
@@ -446,15 +446,43 @@ class TestHistograms:
         with live_session(GOLDEN_CFG) as session:
             session.handshake()
             with pytest.raises(ValueError, match="losing"):
-                session.build_eval_histograms([Position(fen=FEN_A)], bins=8)
+                session.build_eval_histograms([Position(fen=FEN_A)])
 
-    def test_bad_bins_rejected(self):
-        session = EngineSession(ReplayTransport([]), GOLDEN_CFG)
-        with pytest.raises(ValueError):
-            session.build_eval_histograms([], bins=0)
+
+class StreamingTransport:
+    """Answers with `replies`, then with "y" on every later read. It fails
+    the test after 50 reads, so a reader without a line bound stops there
+    instead of spinning forever."""
+
+    def __init__(self, replies=()):
+        self.replies = list(replies)
+        self.reads = 0
+
+    def send(self, line):
+        pass
+
+    def recv(self, timeout=None):
+        self.reads += 1
+        if self.reads > 50:
+            raise AssertionError("read 50 reply lines and still reading")
+        return self.replies.pop(0) if self.replies else "y"
+
+    def close(self):
+        pass
 
 
 class TestHandshake:
+    @pytest.mark.parametrize(
+        "replies, command", [((), "uci"), (("uciok",), "isready")], ids=["uciok", "readyok"]
+    )
+    def test_endless_handshake_reply_is_cut_off(self, monkeypatch, replies, command):
+        monkeypatch.setattr(session_module, "MAX_REPLY_LINES", 5)
+        transport = StreamingTransport(replies)
+        session = EngineSession(transport, ProbeConfig())
+        with pytest.raises(EngineTimeout, match=f"{command!r} within 5 lines"):
+            session.handshake()
+        assert transport.reads == len(replies) + 5
+
     def test_option_block_order(self):
         golden = load_transcript(data_path("golden_transcript.txt"))
         sent = [line for d, line in golden if d == ">"]

@@ -268,6 +268,22 @@ class TestParseHeuristic:
         finally:
             bundled_histogram.cache_clear()
 
+    def test_warm_bundled_parse_skips_package_lookup(self, monkeypatch, tmp_path):
+        warm = parse_heuristic("histogram:chess_p10_light")
+        calls = []
+        files = heuristics.resources.files
+
+        def counting_files(*args, **kwargs):
+            calls.append(args)
+            return files(*args, **kwargs)
+
+        monkeypatch.setattr(heuristics.resources, "files", counting_files)
+        # a same-named file in the working directory does not shadow the bundled one
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "chess_p10_light").write_text("bins=2\nplus=1 0\nminus=0 1\n")
+        assert parse_heuristic("histogram:chess_p10_light") == warm
+        assert calls == []
+
     def test_rejects(self):
         for text in ("nope", "histogram", "histogram:missing_name", "gaussian:x"):
             with pytest.raises(ValueError):
