@@ -65,6 +65,13 @@ def eval_key(seed: int) -> int:
     return mix64(seed ^ EVAL_TAG)
 
 
+def draw_word(key: int, index: int) -> int:
+    """Draw `index` of ``KeyedDraws(key ^ state)`` is
+    ``unit(mix64(state ^ draw_word(key, index)))``, so a search folds its
+    key into one word per draw index and mixes each state once per draw."""
+    return key ^ EVAL_TAG ^ (((index + 1) * _MULT_B) & MASK64)
+
+
 class KeyedDraws:
     """Counter-based stand-in for `random.Random` in evaluators.
 

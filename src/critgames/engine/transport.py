@@ -11,8 +11,13 @@ from __future__ import annotations
 import queue
 import subprocess
 import threading
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
+
+# Lines the reader thread holds for the session; past this it waits, so an
+# engine that prints faster than the session reads fills its pipe, not memory.
+MAX_QUEUED_LINES = 10_000
 
 
 class EngineTimeout(Exception):
@@ -38,15 +43,22 @@ class LiveTransport:
             )
         except OSError as exc:
             raise OSError(f"cannot start engine {argv[0]!r}: {exc}") from exc
-        self._lines: queue.Queue[str | None] = queue.Queue()
+        self._lines: queue.Queue[str | None] = queue.Queue(MAX_QUEUED_LINES)
+        self._closed = threading.Event()
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
 
     def _pump(self) -> None:
         assert self._proc.stdout is not None
-        for line in self._proc.stdout:
-            self._lines.put(line.rstrip("\n"))
-        self._lines.put(None)  # EOF marker
+        lines = (line.rstrip("\n") for line in self._proc.stdout)
+        for item in chain(lines, [None]):  # None marks EOF
+            while True:
+                try:
+                    self._lines.put(item, timeout=0.05)
+                    break
+                except queue.Full:
+                    if self._closed.is_set():  # nobody will read it
+                        return
 
     def send(self, line: str) -> None:
         assert self._proc.stdin is not None
@@ -66,6 +78,7 @@ class LiveTransport:
         return line
 
     def close(self) -> None:
+        self._closed.set()
         if self._proc.poll() is None:
             try:
                 self.send("quit")
@@ -78,6 +91,7 @@ class LiveTransport:
                 self._proc.wait()
         if self._proc.stdin:
             self._proc.stdin.close()
+        self._reader.join(timeout=1.0)
 
 
 class ReplayTransport:

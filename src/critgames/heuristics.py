@@ -5,19 +5,27 @@ Every evaluation returns a reward in [0, 1] from Max's perspective
 (win = 1, loss = 0). Randomness always comes from the caller-provided
 stream, so evaluation is safe to run concurrently and can be replayed by
 keying the stream off the node's identity.
+
+Both searches score nodes through `frontier_scorer`, which keys the
+stream by (search seed, node state) and returns exactly what `evaluate`
+returns on ``KeyedDraws(eval_key(seed) ^ state)``; `evaluate` is the
+reference it is tested against.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import accumulate
+from math import cos, inf, log, pi, sqrt
 from pathlib import Path
 from random import Random
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .tree_model import PLUS, GameParams, Player, subtree_plus_density
+from .bitmix import draw_word, mix64, unit
+from .tree_model import PLUS, GameParams, Player, player_at, subtree_plus_density
 
 KINDS = ("perfect", "gaussian", "histogram", "playout-l1", "playout-linf")
 
@@ -40,8 +48,8 @@ class HistogramPdf:
         if len(self.plus_weights) < 2:
             raise ValueError("need at least 2 bins")
         for name, weights in (("plus", self.plus_weights), ("minus", self.minus_weights)):
-            if any(w < 0 for w in weights):
-                raise ValueError(f"negative weight in class {name}")
+            if not all(0.0 <= w < inf for w in weights):  # NaN fails too
+                raise ValueError(f"negative or non-finite weight in class {name}")
             total = sum(weights)
             if total <= 0:
                 raise ValueError(f"class {name} has zero total weight")
@@ -57,16 +65,22 @@ class HistogramPdf:
     def weights(self, value_class: int) -> tuple[float, ...]:
         return self.plus_weights if value_class == PLUS else self.minus_weights
 
-    def sample(self, value_class: int, rng: Random) -> float:
-        """Inverse-CDF draw from the class distribution, uniform within a bin."""
-        weights = self.weights(value_class)
-        cum = self._plus_cum if value_class == PLUS else self._minus_cum
-        u = rng.random()
-        i = min(bisect.bisect_right(cum, u), len(weights) - 1)
-        while weights[i] == 0.0:  # float-boundary edge; never lands mid-bin
-            i += 1
+    def quantile(self, value_class: int, u: float) -> float:
+        """Inverse CDF of the class distribution at u in [0, 1), uniform within a bin."""
+        if value_class == PLUS:
+            weights, cum = self.plus_weights, self._plus_cum
+        else:
+            weights, cum = self.minus_weights, self._minus_cum
+        # the first bin whose running sum exceeds u; it has positive weight,
+        # because a zero bin repeats its predecessor's sum and the sums are
+        # 1.0 from the last positive bin on
+        i = bisect_right(cum, u)
         low = cum[i - 1] if i else 0.0
         return (i + (u - low) / weights[i]) / len(weights)
+
+    def sample(self, value_class: int, rng: Random) -> float:
+        """Inverse-CDF draw from the class distribution."""
+        return self.quantile(value_class, rng.random())
 
     def mean(self, value_class: int) -> float:
         weights = self.weights(value_class)
@@ -75,18 +89,21 @@ class HistogramPdf:
 
 
 def _cumulative(weights: Sequence[float]) -> tuple[float, ...]:
-    out, total = [], 0.0
-    for w in weights:
-        total += w
-        out.append(total)
-    out[-1] = 1.0
+    """Running sums, set to 1.0 from the last positive-weight bin on.
+
+    Sums that round below 1 would otherwise leave draws in [sum, 1) to
+    trailing zero-weight bins.
+    """
+    out = list(accumulate(weights))
+    last = max(i for i, w in enumerate(weights) if w > 0)
+    out[last:] = [1.0] * (len(out) - last)
     return tuple(out)
 
 
 def normalized(weights: Iterable[float]) -> tuple[float, ...]:
     ws = tuple(float(w) for w in weights)
-    if any(w < 0 for w in ws):
-        raise ValueError("negative weight")
+    if not all(0.0 <= w < inf for w in ws):  # NaN fails too
+        raise ValueError("negative or non-finite weight")
     total = sum(ws)
     if total <= 0:
         raise ValueError("zero total weight")
@@ -161,6 +178,69 @@ def evaluate(spec: HeuristicSpec, ctx: EvalContext, rng: Random) -> float:
     if spec.kind == "playout-linf":
         return density
     return 1.0 if rng.random() < density else 0.0  # playout-l1
+
+
+def frontier_scorer(
+    spec: HeuristicSpec, params: GameParams, key: int
+) -> Callable[[int, int, int], float]:
+    """score(depth, value, state): Max's reward at a node of `params`.
+
+    Bit for bit ``evaluate(spec, EvalContext(value, player_at(depth),
+    depth, params), KeyedDraws(key ^ state))``, except that a terminal
+    node scores its true utility. The kind dispatch and the draw words
+    are fixed here, once per search, so a call costs at most two mixes;
+    the playout kinds tabulate their density per (depth, value) as they go.
+    """
+    max_depth = params.max_depth
+    word0, word1 = draw_word(key, 0), draw_word(key, 1)
+    kind = spec.kind
+
+    if kind == "perfect":
+        # terminal or not, the true utility
+        def score(depth: int, value: int, state: int) -> float:
+            return 1.0 if value == PLUS else 0.0
+
+    elif kind == "gaussian":
+        sigma = spec.sigma
+
+        def score(depth: int, value: int, state: int) -> float:
+            base = 1.0 if value == PLUS else 0.0
+            if depth >= max_depth:
+                return base
+            # KeyedDraws.gauss(0.0, sigma): 0.0 + x only turns -0.0 into
+            # 0.0, which base + x does anyway
+            u = 1.0 - unit(mix64(state ^ word0))
+            v = unit(mix64(state ^ word1))
+            return min(1.0, max(0.0, base + sigma * sqrt(-2.0 * log(u)) * cos(2.0 * pi * v)))
+
+    elif kind == "histogram":
+        assert spec.histogram is not None
+        quantile = spec.histogram.quantile
+
+        def score(depth: int, value: int, state: int) -> float:
+            if depth >= max_depth:
+                return 1.0 if value == PLUS else 0.0
+            return quantile(value, unit(mix64(state ^ word0)))
+
+    else:
+        # `subtree_plus_density` costs O(remaining), so it is tabulated per
+        # (depth, value), for this search only. At a terminal it is 1.0 or
+        # 0.0, the true utility, and every draw in [0, 1) keeps it.
+        @functools.cache
+        def density(depth: int, value: int) -> float:
+            return subtree_plus_density(params, value, player_at(depth), max_depth - depth)
+
+        if kind == "playout-linf":
+
+            def score(depth: int, value: int, state: int) -> float:
+                return density(depth, value)
+
+        else:  # playout-l1
+
+            def score(depth: int, value: int, state: int) -> float:
+                return 1.0 if unit(mix64(state ^ word0)) < density(depth, value) else 0.0
+
+    return score
 
 
 def load_histogram(path: str | Path, label: str | None = None) -> HistogramPdf:

@@ -1,19 +1,22 @@
 """Depth-limited minimax with fail-soft alpha-beta pruning, plus an
 exhaustive unpruned oracle.
 
-Frontier nodes (relative depth d_s, or terminal) are scored by the
-heuristic; terminals return their true utility. Heuristic noise is
-``KeyedDraws(eval_key(seed) ^ node.state)``, keyed by (search seed,
-node state) alone, so pruning cannot change the value any frontier node
-would report and the pruned and unpruned searches are exactly
-comparable. UCT keys its noise the same way, so both searches give a
-node the same evaluation under the same seed.
+Frontier nodes (relative depth d_s, or terminal) are scored by
+`heuristics.frontier_scorer`; terminals return their true utility.
+Heuristic noise is ``KeyedDraws(eval_key(seed) ^ node.state)``, keyed by
+(search seed, node state) alone, so pruning cannot change the value any
+frontier node would report and the pruned and unpruned searches are
+exactly comparable. UCT scores nodes with the same scorer, so both
+searches give a node the same evaluation under the same seed.
 
 Both searches are in negamax form (Knuth & Moore, AI 1975): one
 recursion scores each node for the player on move, with frontier values
 negated on Min levels. Float negation is exact, so values match a
 separate Max/Min recursion bit for bit. The searches share one root
-loop, where ties go to the lowest index.
+loop, where ties go to the lowest index. Below the root, `alphabeta`
+recurses on (depth, value, state) integers and applies the growth rule's
+two parts directly; `minimax_reference` walks `NodeCursor` objects, so
+comparing the two checks one against the other.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from math import inf
 from random import Random  # unused here, kept: the benchmark's traced run wraps this name
 from typing import Callable, Sequence
 
-from .bitmix import KeyedDraws, eval_key
-from .heuristics import EvalContext, HeuristicSpec, evaluate
-from .tree_model import PLUS, GameParams, NodeCursor, player_at
+from .bitmix import child_state, eval_key
+from .heuristics import evaluate  # unused here, kept: the benchmark's traced run wraps this name
+from .heuristics import HeuristicSpec, frontier_scorer
+from .tree_model import GameParams, NodeCursor, designated_child, grown_value
 
 REFERENCE_CAP = 10**6
 
@@ -50,25 +54,6 @@ class MinimaxResult:
     frontier_evals: int
 
 
-def _frontier_scorer(params: GameParams, cfg: MinimaxConfig) -> Callable[[NodeCursor], float]:
-    """Scores a frontier node for the player on move: Max's value, negated
-    on Min levels. The noise key is computed once per search."""
-    key = eval_key(cfg.seed)
-    heuristic = cfg.heuristic
-    max_depth = params.max_depth
-
-    def score(cursor: NodeCursor) -> float:
-        depth = cursor.depth
-        if depth >= max_depth:
-            value = 1.0 if cursor.value == PLUS else 0.0
-        else:
-            ctx = EvalContext(cursor.value, player_at(depth), depth, params)
-            value = evaluate(heuristic, ctx, KeyedDraws(key ^ cursor.state))
-        return -value if depth & 1 else value
-
-    return score
-
-
 def _root_search(
     params: GameParams, path: Sequence[int], child_score: Callable[[NodeCursor, float], float]
 ) -> tuple[float, int]:
@@ -89,18 +74,24 @@ def _root_search(
 
 
 def alphabeta(params: GameParams, path: Sequence[int], cfg: MinimaxConfig) -> MinimaxResult:
-    b, max_depth = params.branching_factor, params.max_depth
-    frontier = _frontier_scorer(params, cfg)
+    """Below the root, nodes are plain (depth, value, state) integers."""
+    b = params.branching_factor
+    score = frontier_scorer(cfg.heuristic, params, eval_key(cfg.seed))
+    frontier = min(len(path) + cfg.depth, params.max_depth)
     evals = 0
 
-    def rec(cursor: NodeCursor, remaining: int, alpha: float, beta: float) -> float:
+    def rec(depth: int, value: int, state: int, alpha: float, beta: float) -> float:
         nonlocal evals
-        if remaining == 0 or cursor.depth >= max_depth:
+        if depth >= frontier:
             evals += 1
-            return frontier(cursor)
+            v = score(depth, value, state)
+            return -v if depth & 1 else v
+        designated = designated_child(params, depth, value, state)
+        depth += 1
         best = -inf
         for i in range(b):
-            v = -rec(cursor.child(i), remaining - 1, -beta, -alpha)
+            child = grown_value(params, value, state, designated, i)
+            v = -rec(depth, child, child_state(state, i), -beta, -alpha)
             if v > best:
                 best = v
                 if best > alpha:
@@ -110,7 +101,7 @@ def alphabeta(params: GameParams, path: Sequence[int], cfg: MinimaxConfig) -> Mi
         return best
 
     value, action = _root_search(
-        params, path, lambda child, alpha: -rec(child, cfg.depth - 1, -inf, -alpha)
+        params, path, lambda node, alpha: -rec(node.depth, node.value, node.state, -inf, -alpha)
     )
     return MinimaxResult(value, action, evals)
 
@@ -119,14 +110,15 @@ def minimax_reference(params: GameParams, path: Sequence[int], cfg: MinimaxConfi
     b = params.branching_factor
     if b**cfg.depth > REFERENCE_CAP:
         raise ValueError(f"reference search of {b}^{cfg.depth} frontier nodes exceeds cap")
-    frontier = _frontier_scorer(params, cfg)
+    score = frontier_scorer(cfg.heuristic, params, eval_key(cfg.seed))
     evals = 0
 
     def rec(cursor: NodeCursor, remaining: int) -> float:
         nonlocal evals
         if cursor.terminal or remaining == 0:
             evals += 1
-            return frontier(cursor)
+            v = score(cursor.depth, cursor.value, cursor.state)
+            return -v if cursor.depth & 1 else v
         return max(-rec(cursor.child(i), remaining - 1) for i in range(b))
 
     value, action = _root_search(params, path, lambda child, _: -rec(child, cfg.depth - 1))

@@ -25,8 +25,9 @@ from random import Random
 from typing import Iterator, NamedTuple, TextIO
 
 from . import bitmix
-from .heuristics import EvalContext, HeuristicSpec, evaluate
-from .tree_model import PLUS, GameParams, NodeCursor, Player, player_at
+from .heuristics import evaluate  # unused here, kept: the benchmark's traced run wraps this name
+from .heuristics import HeuristicSpec, frontier_scorer
+from .tree_model import GameParams, NodeCursor, Player, designated_child, grown_value
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class UctConfig:
 
 
 class _Node:
-    __slots__ = ("state", "depth", "value", "terminal", "n", "q", "children", "free")
+    __slots__ = ("state", "depth", "value", "terminal", "n", "q", "children", "free", "designated")
 
     def __init__(self, state: int, depth: int, value: int, terminal: bool) -> None:
         self.state = state
@@ -64,6 +65,7 @@ class _Node:
         self.q = 0.0
         self.children: list["_Node | None"] | None = None
         self.free: list[int] = []  # unexpanded child indices, set with children
+        self.designated = -1  # `designated_child`, set with children
 
 
 class SearchTree:
@@ -191,23 +193,16 @@ def _decide(root: _Node, b: int, rng: Random) -> tuple[int, tuple[int, ...], tup
 def uct_search(params: GameParams, cfg: UctConfig, trace: TextIO | None = None) -> SearchResult:
     b = params.branching_factor
     c = cfg.exploration
-    heuristic = cfg.heuristic
     indexed_u64, select_tag = bitmix.indexed_u64, bitmix.SELECT_TAG
 
     select_base = bitmix.mix64(cfg.seed ^ select_tag)
-    eval_base = bitmix.eval_key(cfg.seed)
+    score = frontier_scorer(cfg.heuristic, params, bitmix.eval_key(cfg.seed))
     decide_base = bitmix.mix64(cfg.seed ^ bitmix.DECIDE_TAG)
 
     root_cursor = NodeCursor.root(params)
     root = _Node(root_cursor.state, 0, root_cursor.value, root_cursor.terminal)
     node_count = 1
     depth_counts = [1]
-
-    def reward_for(node: _Node) -> float:
-        if node.terminal:
-            return 1.0 if node.value == PLUS else 0.0
-        ctx = EvalContext(node.value, player_at(node.depth), node.depth, params)
-        return evaluate(heuristic, ctx, bitmix.KeyedDraws(eval_base ^ node.state))
 
     def decide(it: int) -> None:
         rng = Random(indexed_u64(decide_base, bitmix.DECIDE_TAG, it))
@@ -220,7 +215,7 @@ def uct_search(params: GameParams, cfg: UctConfig, trace: TextIO | None = None) 
     pending = list(cfg.checkpoints)
 
     # iteration 1: the root itself is created and evaluated
-    r = reward_for(root)
+    r = score(0, root.value, root.state)
     root.n = 1
     root.q = r
     if trace is not None:
@@ -237,18 +232,18 @@ def uct_search(params: GameParams, cfg: UctConfig, trace: TextIO | None = None) 
         steps: list[int] = []
         while True:
             if node.terminal:
-                r = reward_for(node)
+                r = score(node.depth, node.value, node.state)
                 break
             kids = node.children
             if kids is None:
                 kids = node.children = [None] * b
                 node.free = list(range(b))
+                node.designated = designated_child(params, node.depth, node.value, node.state)
             free = node.free
             if free:
                 k = len(free)
                 idx = free.pop(0 if k == 1 else indexed_u64(it_key, select_tag, node.depth) % k)
-                cursor = NodeCursor(params, node.depth, node.value, node.state)
-                value = cursor.child_value(idx)
+                value = grown_value(params, node.value, node.state, node.designated, idx)
                 depth = node.depth + 1
                 child = _Node(
                     bitmix.child_state(node.state, idx), depth, value, depth >= params.max_depth
@@ -261,7 +256,7 @@ def uct_search(params: GameParams, cfg: UctConfig, trace: TextIO | None = None) 
                 path.append(child)
                 if trace is not None:
                     steps.append(idx)
-                r = reward_for(child)
+                r = score(depth, value, child.state)
                 break
             log_n = log(node.n)
             min_to_move = node.depth & 1

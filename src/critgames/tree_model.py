@@ -10,6 +10,9 @@ A choice node (the player on move can win: Max holding +1, Min holding
 every other child flips to the opposite value independently with
 probability ``critical_rate``. A forced node (the player on move loses)
 passes its value to all children. Terminality is purely depth-based.
+The rule comes in two parts, so a search that visits every child of a
+node hashes the node once: `designated_child` per node and `grown_value`
+per child. `NodeCursor.child_value` composes them.
 
 The density of +1 nodes per level follows, with k = 1 - gamma + gamma/b,
 
@@ -30,7 +33,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import bitmix
-from .bitmix import DESIGNATED_TAG, FLIP_TAG, MASK64
+from .bitmix import DESIGNATED_TAG, FLIP_TAG, MASK64, indexed_u64, stream_u64, unit
 
 PLUS = 1
 MINUS = -1
@@ -89,6 +92,30 @@ def check_path(params: GameParams, path: Sequence[int]) -> tuple[int, ...]:
     return path
 
 
+def designated_child(params: GameParams, depth: int, value: int, state: int) -> int:
+    """Per-node part of the growth rule.
+
+    At a choice node (the player on move holds a winning value), the
+    child that keeps the value, by one hash of the node's state; -1 at a
+    forced node, whose children all keep it.
+    """
+    if value != (MINUS if depth & 1 else PLUS):
+        return -1
+    return stream_u64(state, DESIGNATED_TAG) % params.branching_factor
+
+
+def grown_value(params: GameParams, value: int, state: int, designated: int, index: int) -> int:
+    """Per-child part of the growth rule: the value of child `index`.
+
+    `designated` is the parent's `designated_child`. Any other child of a
+    choice node flips with probability critical_rate, by one flip draw.
+    The child's state is ``bitmix.child_state(state, index)``.
+    """
+    if designated < 0 or index == designated:
+        return value
+    return -value if unit(indexed_u64(state, FLIP_TAG, index)) < params.critical_rate else value
+
+
 class NodeCursor:
     """Lazy handle on one node: its value plus the state seeding its child draws.
 
@@ -118,9 +145,7 @@ class NodeCursor:
 
     @property
     def is_choice(self) -> bool:
-        # the player on move holds a winning value
-        favorable = PLUS if self.depth % 2 == 0 else MINUS
-        return self.value == favorable
+        return designated_child(self.params, self.depth, self.value, self.state) >= 0
 
     @property
     def kind(self) -> Kind:
@@ -128,19 +153,17 @@ class NodeCursor:
 
     @property
     def designated_index(self) -> int:
-        return bitmix.stream_u64(self.state, DESIGNATED_TAG) % self.params.branching_factor
+        """The designated child's index at any node, choice or not; the
+        prefix-value rule reads it at every node, `designated_child` only
+        at choice nodes."""
+        return stream_u64(self.state, DESIGNATED_TAG) % self.params.branching_factor
 
     def child_value(self, index: int) -> int:
-        # `terminal`, `is_choice` and `designated_index` inlined: this runs once per node
-        params, depth, value = self.params, self.depth, self.value
-        if depth >= params.max_depth:
+        params, value, state = self.params, self.value, self.state
+        if self.depth >= params.max_depth:
             raise ValueError("terminal node has no children")
-        if value != (MINUS if depth & 1 else PLUS):  # forced node
-            return value
-        if index == bitmix.stream_u64(self.state, DESIGNATED_TAG) % params.branching_factor:
-            return value
-        u = bitmix.unit(bitmix.indexed_u64(self.state, FLIP_TAG, index))
-        return -value if u < params.critical_rate else value
+        designated = designated_child(params, self.depth, value, state)
+        return grown_value(params, value, state, designated, index)
 
     def child(self, index: int) -> "NodeCursor":
         value = self.child_value(index)

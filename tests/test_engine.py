@@ -1,6 +1,7 @@
 """Tests for the UCI probe stack against the scripted mock engine."""
 
 import sys
+import time
 from importlib import resources
 
 import pytest
@@ -23,6 +24,7 @@ from critgames.engine import (
     save_transcript,
 )
 from critgames.engine import session as session_module
+from critgames.engine import transport as transport_module
 from critgames.engine.mock_engine import main as mock_main
 from critgames.heuristics import load_histogram, save_histogram
 
@@ -120,6 +122,22 @@ class TestTransports:
     def test_missing_binary(self):
         with pytest.raises(OSError):
             LiveTransport(["/nonexistent/engine/binary"])
+
+    def test_queue_bounded_against_endless_printer(self):
+        transport = LiveTransport([sys.executable, "-c", "while True: print('y')"])
+        try:
+            deadline = time.monotonic() + 1.0
+            peak = 0
+            while time.monotonic() < deadline:
+                peak = max(peak, transport._lines.qsize())
+                time.sleep(0.01)
+            assert 0 < peak <= transport_module.MAX_QUEUED_LINES
+        finally:
+            start = time.monotonic()
+            transport.close()
+            elapsed = time.monotonic() - start
+        assert elapsed < 1.5
+        assert not transport._reader.is_alive()
 
 
 class TestMockEngineScript:

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critgames import heuristics
+from critgames.bitmix import MASK64, KeyedDraws
 from critgames.heuristics import (
     EvalContext,
     HeuristicSpec,
     HistogramPdf,
     bundled_histogram,
     evaluate,
+    frontier_scorer,
     gaussian,
     histogram,
     load_histogram,
@@ -24,7 +26,12 @@ from critgames.heuristics import (
     playout_linf,
     save_histogram,
 )
-from critgames.tree_model import MINUS, PLUS, GameParams, Player
+from critgames.tree_model import MINUS, PLUS, GameParams, Player, player_at
+
+
+# eight normalized weights whose running sum ends at 1 - 2^-53, then an empty top bin
+_rng = Random(26)
+ROUNDED_BELOW_ONE = normalized([_rng.random() for _ in range(8)] + [0.0])
 
 
 def ctx_for(value, player=Player.MAX, depth=0, gamma=1.0, b=2, d_max=4):
@@ -146,6 +153,23 @@ class TestHistogramPdf:
             HistogramPdf((-0.1, 1.1), (0.5, 0.5))
         with pytest.raises(ValueError):
             HistogramPdf((0.6, 0.6), (0.5, 0.5))
+        with pytest.raises(ValueError, match="non-finite"):
+            HistogramPdf((math.nan, 1.0), (0.5, 0.5))
+
+    def test_draw_past_a_sum_rounded_below_one(self):
+        # the largest draw used to run off the last bin
+        weights = ROUNDED_BELOW_ONE
+        assert sum(weights[:8]) == 1.0 - 2.0**-53
+        pdf = HistogramPdf(weights, weights)
+        top = 1.0 - 2.0**-53  # the largest `bitmix.unit` value
+
+        class TopDraw:
+            def random(self):
+                return top
+
+        x = pdf.sample(PLUS, TopDraw())
+        assert x == pdf.quantile(PLUS, top)
+        assert 7 / 9 <= x <= 8 / 9 + 1e-12  # the last positive bin
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -209,6 +233,8 @@ class TestFileFormat:
             "bins=2\nplus=1 0\n",  # missing minus
             "bins=3\nplus=1 0\nminus=0 1\n",  # count mismatch
             "bins=2\nplus=1 -1\nminus=0 1\n",  # negative
+            "bins=2\nplus=1 nan\nminus=0 1\n",  # not a number
+            "bins=2\nplus=1 0\nminus=inf 1\n",  # infinite
             "bins=2\nplus=0 0\nminus=0 1\n",  # zero total
             "bins=2\nplus=1 0\nminus=0 1\nextra=1\n",  # unknown key
             "bins=2\nbins=2\nplus=1 0\nminus=0 1\n",  # duplicate
@@ -311,3 +337,50 @@ class TestRangeInvariant:
         ctx = ctx_for(value, player=player, depth=depth, gamma=0.9, b=3, d_max=4)
         r = evaluate(spec, ctx, Random(seed))
         assert 0.0 <= r <= 1.0
+
+
+SCORER_SPECS = [
+    perfect(),
+    gaussian(0.3),
+    gaussian(0.0),
+    gaussian(2.0),
+    histogram(bundled_histogram("chess_p10_light")),
+    # interior and trailing zero-weight bins
+    histogram(HistogramPdf(normalized([0, 3, 0, 1, 2, 0, 0]), normalized([1, 0, 0, 2, 0, 1, 0]))),
+    histogram(HistogramPdf(ROUNDED_BELOW_ONE, ROUNDED_BELOW_ONE[::-1])),
+    playout_l1(),
+    playout_linf(),
+]
+
+
+class TestFrontierScorer:
+    @given(
+        st.sampled_from(SCORER_SPECS),
+        st.integers(min_value=2, max_value=10),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=MASK64),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_evaluate_bit_for_bit(self, spec, b, gamma, max_depth, key, data):
+        params = GameParams(b, gamma, max_depth, seed=3)
+        score = frontier_scorer(spec, params, key)  # one scorer for many nodes, as in a search
+        nodes = data.draw(st.lists(st.tuples(
+            st.integers(min_value=0, max_value=max_depth),  # max_depth: terminal
+            st.sampled_from([PLUS, MINUS]),
+            st.integers(min_value=0, max_value=MASK64),
+        ), min_size=1, max_size=8))
+        for depth, value, state in nodes:
+            if depth == max_depth:
+                want = 1.0 if value == PLUS else 0.0
+            else:
+                ctx = EvalContext(value, player_at(depth), depth, params)
+                want = evaluate(spec, ctx, KeyedDraws(key ^ state))
+            assert score(depth, value, state).hex() == want.hex(), (spec.label, depth, value)
+
+    def test_terminal_gaussian_is_true_utility(self):
+        params = GameParams(2, 1.0, 4, seed=1)
+        score = frontier_scorer(gaussian(0.5), params, key=9)
+        assert [score(4, PLUS, s) for s in range(50)] == [1.0] * 50
+        assert [score(4, MINUS, s) for s in range(50)] == [0.0] * 50

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critgames import search_minimax
 from critgames.bitmix import KeyedDraws, eval_key
 from critgames.heuristics import EvalContext, evaluate, gaussian, parse_heuristic, perfect
 from critgames.search_minimax import MinimaxConfig, alphabeta, minimax_reference
@@ -214,6 +215,21 @@ class TestFrontierNoise:
         res = alphabeta(params, (), cfg)
         assert res.value == max(uct_rewards)
         assert res.best_action == uct_rewards.index(res.value)
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_growth_rule_hashes_each_interior_node_once(self, b, monkeypatch):
+        calls = []
+
+        def counted(params, depth, value, state):
+            calls.append(state)
+            return designated_child(params, depth, value, state)
+
+        designated_child = search_minimax.designated_child
+        monkeypatch.setattr(search_minimax, "designated_child", counted)
+        params = make_params(b=b, gamma=0.8, d_max=12, seed=4)
+        res = alphabeta(params, (), MinimaxConfig(6, gaussian(0.3), seed=2))
+        assert res.frontier_evals > 0
+        assert 0 < len(calls) == len(set(calls))
 
     def test_terminal_frontier_is_true_utility(self):
         params = make_params(d_max=3, seed=9)

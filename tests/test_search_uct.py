@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critgames import search_uct
 from critgames.heuristics import gaussian, parse_heuristic, perfect, playout_l1
 from critgames.search_uct import (
     BreadthFirstReport,
@@ -18,7 +19,7 @@ from critgames.search_uct import (
     ucb_score,
     uct_search,
 )
-from critgames.tree_model import GameParams, Player, node_meta
+from critgames.tree_model import GameParams, Player, node_meta, walk
 
 LIGHT = parse_heuristic("histogram:chess_p10_light")
 
@@ -112,6 +113,27 @@ class TestGrowthAndConservation:
         res = uct_search(params, UctConfig(0.9, 400, gaussian(0.4), seed=8))
         walked = Counter(len(path) for path, _ in res.tree.nodes())
         assert res.depth_histogram == tuple(walked[d] for d in range(max(walked) + 1))
+
+    @pytest.mark.parametrize("b, gamma", [(2, 1.0), (3, 0.5), (10, 0.7)])
+    def test_tracked_nodes_follow_the_growth_rule(self, b, gamma, monkeypatch):
+        calls = []
+
+        def counted(params, depth, value, state):
+            calls.append(state)
+            return designated_child(params, depth, value, state)
+
+        designated_child = search_uct.designated_child
+        monkeypatch.setattr(search_uct, "designated_child", counted)
+        params = make_params(b=b, gamma=gamma, d_max=6, seed=12)
+        res = uct_search(params, UctConfig(1.0, 500, LIGHT, seed=3))
+        expanded = []
+        for path, node in res.tree.nodes():
+            cursor = walk(params, path)
+            assert (node.depth, node.value, node.state) == (len(path), cursor.value, cursor.state)
+            if node.children is not None:
+                expanded.append(node.state)
+        # the per-node part of the growth rule runs once per expanded node
+        assert sorted(calls) == sorted(expanded)
 
     def test_conservation_with_terminal_revisits(self):
         params = make_params(d_max=2)

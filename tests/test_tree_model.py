@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from critgames import bitmix
 from critgames.tree_model import (
     MINUS,
     PLUS,
@@ -16,7 +17,9 @@ from critgames.tree_model import (
     NodeCursor,
     Player,
     density_limits,
+    designated_child,
     export_tree,
+    grown_value,
     mean_plus_fractions,
     node_meta,
     node_value,
@@ -160,6 +163,36 @@ class TestDesignatedAndFlipStatistics:
         se = math.sqrt(gamma * (1 - gamma) / total)
         assert total >= 100_000
         assert abs(flips / total - gamma) < 3 * se
+
+
+class TestGrowthSplit:
+    @staticmethod
+    def on_move_wins(cursor):
+        return PLUS if cursor.depth % 2 == 0 else MINUS
+
+    def by_hand(self, p, cursor, i):
+        """The growth rule as the module docstring states it."""
+        if cursor.value != self.on_move_wins(cursor):
+            return cursor.value
+        if i == bitmix.stream_u64(cursor.state, bitmix.DESIGNATED_TAG) % p.branching_factor:
+            return cursor.value
+        u = bitmix.unit(bitmix.indexed_u64(cursor.state, bitmix.FLIP_TAG, i))
+        return -cursor.value if u < p.critical_rate else cursor.value
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("b, levels", [(2, 7), (3, 5), (10, 2)])
+    def test_parts_compose_to_child_value(self, b, levels, gamma):
+        for seed in range(4):
+            p = GameParams(b, gamma, levels + 1, seed)
+            level = [NodeCursor.root(p)]
+            for _ in range(levels):
+                for cursor in level:
+                    designated = designated_child(p, cursor.depth, cursor.value, cursor.state)
+                    assert (designated >= 0) == (cursor.value == self.on_move_wins(cursor))
+                    for i in range(b):
+                        value = grown_value(p, cursor.value, cursor.state, designated, i)
+                        assert value == cursor.child_value(i) == self.by_hand(p, cursor, i)
+                level = [cursor.child(i) for cursor in level for i in range(b)]
 
 
 class TestPlusDensity:
