@@ -109,14 +109,27 @@ _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 
 
-def mix64_np(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> _S30
+def mix64_inplace(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """`mix64` on the uint64 array `x`, in place; returns `x`.
+
+    `scratch` is a uint64 array of x's shape that the shifts overwrite,
+    so a caller mixing block after block allocates nothing per block.
+    """
+    if scratch is None:
+        scratch = np.empty_like(x)
+    np.right_shift(x, _S30, out=scratch)
+    x ^= scratch
     x *= _NP_MULT_A
-    x ^= x >> _S27
+    np.right_shift(x, _S27, out=scratch)
+    x ^= scratch
     x *= _NP_MULT_B
-    x ^= x >> _S31
+    np.right_shift(x, _S31, out=scratch)
+    x ^= scratch
     return x
+
+
+def mix64_np(x: np.ndarray) -> np.ndarray:
+    return mix64_inplace(x.astype(np.uint64, copy=True))
 
 
 def unit_np(h: np.ndarray) -> np.ndarray:
@@ -124,20 +137,31 @@ def unit_np(h: np.ndarray) -> np.ndarray:
 
 
 def root_state_np(seeds: np.ndarray) -> np.ndarray:
-    return mix64_np(seeds.astype(np.uint64) ^ np.uint64(GOLDEN))
+    return mix64_inplace(seeds.astype(np.uint64) ^ _NP_GOLDEN)
 
 
 def child_state_np(states: np.ndarray, index: int | np.ndarray) -> np.ndarray:
     """Child states; `index` is one child index or an array of them, one per state."""
-    # a 1-d array, because numpy warns when uint64 scalar arithmetic wraps
-    step = (np.atleast_1d(index).astype(np.uint64) + np.uint64(1)) * _NP_GOLDEN
-    return mix64_np(states ^ step)
+    return mix64_inplace(states ^ child_word(index))
 
 
 def stream_u64_np(states: np.ndarray, tag: int) -> np.ndarray:
-    return mix64_np(states ^ np.uint64(tag))
+    return mix64_inplace(states ^ np.uint64(tag))
 
 
 def indexed_u64_np(states: np.ndarray, tag: int, index: int) -> np.ndarray:
-    word = np.uint64(tag ^ (((index + 1) * _MULT_B) & MASK64))
-    return mix64_np(states ^ word)
+    return mix64_inplace(states ^ indexed_word(tag, index))
+
+
+def child_word(index: int | np.ndarray) -> np.ndarray:
+    """What `child_state_np` xors into a state before mixing, per index.
+
+    Like `indexed_word`, a 1-d array at least, because numpy warns when
+    uint64 scalar arithmetic wraps.
+    """
+    return (np.atleast_1d(index).astype(np.uint64) + np.uint64(1)) * _NP_GOLDEN
+
+
+def indexed_word(tag: int, index: int | np.ndarray) -> np.ndarray:
+    """What `indexed_u64_np` xors into a state before mixing, per index."""
+    return np.uint64(tag) ^ (np.atleast_1d(index).astype(np.uint64) + np.uint64(1)) * _NP_MULT_B

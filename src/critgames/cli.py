@@ -4,8 +4,8 @@ One dispatcher over the library: tree export, density tables, single
 searches, grid experiments, principal-variation checks, the
 concentration-bound verification run, and the engine probe. Every run
 resolves its configuration from built-in defaults, an optional flat
-key=value file, then explicit flags, and echoes the result to a
-manifest file so outputs are attributable.
+key=value file, then explicit flags; a run that succeeds echoes the
+result to a manifest file so outputs are attributable.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime
 failure.
@@ -271,12 +271,10 @@ def _resolve(subcommand: str, ns: argparse.Namespace) -> dict[str, object]:
 
 
 def _write_manifest(subcommand: str, cfg: dict[str, object]) -> Path:
-    out = Path(str(cfg["out_dir"]))
-    out.mkdir(parents=True, exist_ok=True)
     lines = [f"critgames {__version__}", f"command = {subcommand}"]
     for key in sorted(cfg):
         lines.append(f"{key} = {cfg[key]!r}")
-    path = out / "run_manifest.txt"
+    path = _out_dir(cfg) / "run_manifest.txt"
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -531,8 +529,11 @@ def dispatch(argv: Sequence[str]) -> int:
         return 1
     try:
         cfg = _resolve(ns.subcommand, ns)
-        _write_manifest(ns.subcommand, cfg)
-        return _HANDLERS[ns.subcommand](cfg)
+        _out_dir(cfg).mkdir(parents=True, exist_ok=True)
+        code = _HANDLERS[ns.subcommand](cfg)
+        if code == 0:  # a failed run leaves no manifest that reads like a finished one
+            _write_manifest(ns.subcommand, cfg)
+        return code
     except UsageError as exc:
         print(f"critgames {ns.subcommand}: error: {exc}", file=sys.stderr)
         return 1

@@ -22,10 +22,15 @@ The density of +1 nodes per level follows, with k = 1 - gamma + gamma/b,
 which converges to 1/(1+k) on even levels and k/(1+k) on odd ones.
 ``plus_fractions`` enumerates a full instance level by level with the
 vectorized mixer so the recurrence can be checked against brute force.
+The enumeration lays each level out index-major, child j of every node
+in one contiguous block, and tests flip draws on the raw 64-bit words
+against one integer threshold (`flip_threshold`), which is exact, so its
+per-level counts are those of `node_value` node by node.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -39,6 +44,8 @@ PLUS = 1
 MINUS = -1
 
 _ENUM_CAP = 10**6
+_TILE = 2**15  # children per enumeration tile: 256 KB per uint64 buffer
+_DESIGNATED = np.uint64(DESIGNATED_TAG)
 
 
 class Player(Enum):
@@ -274,10 +281,8 @@ def plus_fractions(params: GameParams, depth: int) -> np.ndarray:
     """Exact per-level fractions of +1 nodes for one instance, levels 0..depth."""
     if not 0 <= depth <= params.max_depth:
         raise ValueError(f"depth {depth} out of range [0, {params.max_depth}]")
-    if params.branching_factor**depth > _ENUM_CAP:
-        raise ValueError(f"b^depth exceeds {_ENUM_CAP}")
     seeds = np.asarray([params.seed], dtype=np.uint64)
-    return _profile_for_seeds(params.branching_factor, params.critical_rate, depth, seeds)[0]
+    return mean_plus_fractions(params.branching_factor, params.critical_rate, depth, seeds)
 
 
 def mean_plus_fractions(
@@ -286,15 +291,29 @@ def mean_plus_fractions(
     """Per-level +1 fractions averaged over instances, by full enumeration.
 
     Enumerates every node of every instance level by level with the
-    vectorized mixer; identical, path by path, to scalar node_value.
-    Seeds go in blocks of at most ``chunk_elements`` leaves (but at least one
-    instance per block). The default bounds each block's uint64 state
+    vectorized mixer; each level's count of +1 nodes equals the count by
+    scalar `node_value`. A level is laid out index-major: child j of every
+    node sits in one contiguous block, so nodes within a level are not in
+    path order, which a count cannot see. Flip draws are compared as
+    integers: ``unit(h) < gamma`` exactly when ``h < flip_threshold(gamma)``,
+    and at gamma 0 or 1, where every draw agrees, none is mixed.
+
+    Seeds go in blocks of at most ``chunk_elements`` leaves (but at least
+    one instance per block). The default bounds each block's uint64 state
     arrays to a few MB; blocks of hundreds of MB thrash the cache.
     """
+    if b < 2:
+        raise ValueError(f"b must be >= 2, got {b}")
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    if b**depth > _ENUM_CAP:
+        raise ValueError(f"b^depth = {b**depth} exceeds {_ENUM_CAP}")
     seed_array = np.asarray(list(seeds), dtype=np.uint64)
     if seed_array.size == 0:
         raise ValueError("at least one seed required")
-    per_chunk = max(1, chunk_elements // max(1, b**depth))
+    per_chunk = max(1, chunk_elements // b**depth)
     totals = np.zeros(depth + 1, dtype=np.float64)
     for start in range(0, seed_array.size, per_chunk):
         block = seed_array[start : start + per_chunk]
@@ -302,29 +321,68 @@ def mean_plus_fractions(
     return totals / seed_array.size
 
 
+def flip_threshold(gamma: float) -> int:
+    """The flip draw h flips a child exactly when ``h < flip_threshold(gamma)``.
+
+    ``unit(h) = (h >> 11) * 2^-53`` is exact and so is ``gamma * 2^53``,
+    so ``unit(h) < gamma`` holds exactly when ``h >> 11`` is below
+    ``ceil(gamma * 2^53)``. The result is 0 at gamma = 0 (no draw flips)
+    and 2^64 at gamma = 1 (every draw flips), and a uint64 in between.
+    """
+    return math.ceil(gamma * 2.0**53) << 11
+
+
 def _profile_for_seeds(b: int, gamma: float, depth: int, seeds: np.ndarray) -> np.ndarray:
-    """(len(seeds), depth+1) array of exact +1 fractions per level."""
+    """(len(seeds), depth+1) array of exact +1 fractions per level.
+
+    A level of width w is one flat array, seed-minor: with n seeds, node k
+    belongs to seed k % n. Its children form a (b, w) array whose row j
+    holds child j of every node, so child j of node k is node j * w + k
+    of the next level. Parents go in tiles of about `_TILE` children,
+    which keeps the mixer's passes over a tile's buffers in cache.
+    """
     n_seeds = seeds.size
     out = np.empty((n_seeds, depth + 1), dtype=np.float64)
     out[:, 0] = 1.0
-    states = bitmix.root_state_np(seeds).reshape(n_seeds, 1)
-    values = np.full((n_seeds, 1), PLUS, dtype=np.int8)
+    threshold = flip_threshold(gamma)
+    draw = 0 < threshold <= MASK64  # else every draw agrees, and none is mixed
+    bound = np.uint64(threshold if draw else 0)
+    index = np.arange(b, dtype=np.uint64)[:, None]
+    flip_words, child_words = bitmix.indexed_word(FLIP_TAG, index), bitmix.child_word(index)
+    step = max(1, _TILE // b)  # parents per tile
+    size = b * min(step, n_seeds * b ** max(depth - 1, 0))  # children of the widest tile
+    words, scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    designated = np.empty(size // b, dtype=np.uint64)
+    states = bitmix.root_state_np(seeds)
+    plus = np.ones(n_seeds, dtype=bool)
     for level in range(depth):
-        width = values.shape[1]
-        choice_value = PLUS if level % 2 == 0 else MINUS
-        choice = values == choice_value
-        designated = bitmix.stream_u64_np(states, DESIGNATED_TAG) % np.uint64(b)
-        child_values = np.empty((n_seeds, width * b), dtype=np.int8)
-        last = level == depth - 1
-        child_states = None if last else np.empty((n_seeds, width * b), dtype=np.uint64)
-        for j in range(b):
-            u = bitmix.unit_np(bitmix.indexed_u64_np(states, FLIP_TAG, j))
-            flips = choice & (designated != np.uint64(j)) & (u < gamma)
-            child_values[:, j::b] = np.where(flips, -values, values)
+        width = plus.size
+        child_plus = np.empty((b, width), dtype=bool)
+        child_states = np.empty((b, width), dtype=np.uint64) if level < depth - 1 else None
+        for lo in range(0, width, step):
+            hi = min(lo + step, width)
+            m = hi - lo
+            tile_states, tile_plus = states[lo:hi], plus[lo:hi]
+            w, s = words[: b * m].reshape(b, m), scratch[: b * m].reshape(b, m)
+            if threshold:
+                choice = tile_plus if level % 2 == 0 else ~tile_plus
+                d = designated[:m]
+                np.bitwise_xor(tile_states, _DESIGNATED, out=d)
+                np.remainder(bitmix.mix64_inplace(d, s[0]), np.uint64(b), out=d)
+                flips = (d != index) & choice
+                if draw:
+                    np.bitwise_xor(tile_states, flip_words, out=w)
+                    flips &= bitmix.mix64_inplace(w, s) < bound
+                np.not_equal(tile_plus, flips, out=child_plus[:, lo:hi])
+            else:
+                child_plus[:, lo:hi] = tile_plus
             if child_states is not None:
-                child_states[:, j::b] = bitmix.child_state_np(states, j)
-        out[:, level + 1] = (child_values == PLUS).sum(axis=1) / float(width * b)
-        values = child_values
+                block = child_states[:, lo:hi]
+                np.bitwise_xor(tile_states, child_words, out=block)
+                bitmix.mix64_inplace(block, s)
+        plus = child_plus.reshape(-1)
+        counts = plus.reshape(-1, n_seeds).sum(axis=0, dtype=np.int32)  # at most b^depth
+        out[:, level + 1] = counts / float(b ** (level + 1))
         if child_states is not None:
-            states = child_states
+            states = child_states.reshape(-1)
     return out

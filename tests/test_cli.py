@@ -155,6 +155,24 @@ class TestConfigResolution:
         assert "n = 4" in manifest
         assert "seed = 0" in manifest
 
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            # a usage failure found by the handler: a nan histogram weight
+            (("search", "--algo", "alphabeta", "--heuristic", "histogram:{hist}"), 1),
+            (("probe", "--engine", "/nonexistent/engine"), 2),
+        ],
+    )
+    def test_failed_run_leaves_no_manifest(self, capsys, tmp_path, args, expected):
+        hist = tmp_path / "bad.hist"
+        hist.write_text("bins=2\nplus=1 nan\nminus=0 1\n")
+        out = tmp_path / "out"
+        argv = [arg.format(hist=hist) for arg in args]
+        code, _, _ = run(capsys, *argv, "--out-dir", str(out))
+        assert code == expected
+        assert out.is_dir()
+        assert not (out / "run_manifest.txt").exists()
+
 
 class TestDeterminism:
     def test_gen_tree_same_seed_same_files(self, capsys, tmp_path):

@@ -19,6 +19,7 @@ from critgames.tree_model import (
     density_limits,
     designated_child,
     export_tree,
+    flip_threshold,
     grown_value,
     mean_plus_fractions,
     node_meta,
@@ -337,6 +338,102 @@ class TestExportTree:
             assert f'label="{want}"' in line
 
 
+# float.hex of mean_plus_fractions(b, gamma, 12, range(20)), recorded with the
+# path-ordered enumeration that preceded the index-major one
+GOLDEN_PROFILES = {
+    (2, 0.5): (
+        "0x1.0000000000000p+0",
+        "0x1.999999999999ap-1",
+        "0x1.c000000000000p-1",
+        "0x1.4cccccccccccdp-1",
+        "0x1.7cccccccccccdp-1",
+        "0x1.2266666666666p-1",
+        "0x1.5a66666666666p-1",
+        "0x1.07ccccccccccdp-1",
+        "0x1.46e6666666666p-1",
+        "0x1.e79999999999ap-2",
+        "0x1.3666666666666p-1",
+        "0x1.d07999999999ap-2",
+        "0x1.2ebe666666666p-1",
+    ),
+    (2, 0.9): (
+        "0x1.0000000000000p+0",
+        "0x1.199999999999ap-1",
+        "0x1.8cccccccccccdp-1",
+        "0x1.b99999999999ap-2",
+        "0x1.5666666666666p-1",
+        "0x1.7666666666666p-2",
+        "0x1.4b33333333333p-1",
+        "0x1.6c66666666666p-2",
+        "0x1.4b80000000000p-1",
+        "0x1.6b4cccccccccdp-2",
+        "0x1.4a73333333333p-1",
+        "0x1.6c40000000000p-2",
+        "0x1.4a64ccccccccdp-1",
+    ),
+    (2, 1.0): (
+        "0x1.0000000000000p+0",
+        "0x1.0000000000000p-1",
+        "0x1.8000000000000p-1",
+        "0x1.8000000000000p-2",
+        "0x1.6000000000000p-1",
+        "0x1.6000000000000p-2",
+        "0x1.5800000000000p-1",
+        "0x1.5800000000000p-2",
+        "0x1.5600000000000p-1",
+        "0x1.5600000000000p-2",
+        "0x1.5580000000000p-1",
+        "0x1.5580000000000p-2",
+        "0x1.5560000000000p-1",
+    ),
+    (3, 0.5): (
+        "0x1.0000000000000p+0",
+        "0x1.7ffffffffffffp-1",
+        "0x1.b05b05b05b05dp-1",
+        "0x1.1d6480f2b9d65p-1",
+        "0x1.6a82365c4952ep-1",
+        "0x1.e172d4ce7c503p-2",
+        "0x1.4bb61d5b838bep-1",
+        "0x1.b9d049caab6a6p-2",
+        "0x1.3e49fe9c66ca4p-1",
+        "0x1.a90b22c7f2340p-2",
+        "0x1.387a90208f7a1p-1",
+        "0x1.a0c701bbde825p-2",
+        "0x1.359a423322bfep-1",
+    ),
+    (3, 0.9): (
+        "0x1.0000000000000p+0",
+        "0x1.9999999999999p-2",
+        "0x1.85b05b05b05b2p-1",
+        "0x1.3e93e93e93e93p-2",
+        "0x1.73ac901e573adp-1",
+        "0x1.27669c56cee84p-2",
+        "0x1.6e44204ea9432p-1",
+        "0x1.255734cabd654p-2",
+        "0x1.6dda3ee9d069cp-1",
+        "0x1.24b00fc61b66bp-2",
+        "0x1.6d9851f84e395p-1",
+        "0x1.248783ca6c3a6p-2",
+        "0x1.6dc30cbac3ca8p-1",
+    ),
+    (3, 1.0): (
+        "0x1.0000000000000p+0",
+        "0x1.5555555555553p-2",
+        "0x1.8e38e38e38e3cp-1",
+        "0x1.097b425ed097bp-2",
+        "0x1.81948b0fcd6ecp-1",
+        "0x1.010db20a88f46p-2",
+        "0x1.802cf301c17e1p-1",
+        "0x1.001df75680febp-2",
+        "0x1.8004fe8e6ad51p-1",
+        "0x1.0003545ef1e36p-2",
+        "0x1.80008e0fd2fb2p-1",
+        "0x1.00005eb537522p-2",
+        "0x1.80000fc8de8ddp-1",
+    ),
+}
+
+
 class TestEnumerationOracle:
     def test_vectorized_matches_scalar_walk(self):
         for gamma, b, seed in [(0.5, 2, 1), (0.9, 3, 7), (1.0, 2, 123), (0.3, 4, 999)]:
@@ -362,6 +459,102 @@ class TestEnumerationOracle:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):
             mean_plus_fractions(2, 0.5, 4, [])
+
+    @pytest.mark.parametrize(
+        "b, gamma, depth, message",
+        [
+            (1, 0.5, 4, r"^b must"),
+            (2, -0.1, 4, r"^gamma must"),
+            (2, 1.5, 4, r"^gamma must"),
+            (2, math.nan, 4, r"^gamma must"),
+            (2, 0.5, -1, r"^depth must"),
+            (2, 0.5, 20, r"^b\^depth = 1048576 exceeds"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, b, gamma, depth, message):
+        with pytest.raises(ValueError, match=message):
+            mean_plus_fractions(b, gamma, depth, range(3))
+
+    @pytest.mark.parametrize("b, gamma", sorted(GOLDEN_PROFILES))
+    def test_golden_profiles(self, b, gamma):
+        # levels past 2^15 children run in several tiles, partial ones included
+        profile = mean_plus_fractions(b, gamma, 12, range(20))
+        assert [x.hex() for x in profile.tolist()] == list(GOLDEN_PROFILES[b, gamma])
+
+
+# gamma values at which the flip test's rounding shows: none flips, the
+# least and the greatest rate below 1, and every draw flips
+EDGE_GAMMAS = (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0)
+GAMMAS = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from(EDGE_GAMMAS)
+
+
+def _unmix64(x):
+    """The inverse of bitmix.mix64."""
+    for shift, mult in ((31, bitmix._MULT_B), (27, bitmix._MULT_A), (30, None)):
+        y = x
+        for _ in range(64 // shift + 1):  # invert x ^ (x >> shift)
+            x = y ^ (x >> shift)
+        if mult is not None:
+            x = (x * pow(mult, -1, 1 << 64)) & bitmix.MASK64
+    return x
+
+
+def _seed_drawing(word, index):
+    """A seed whose root draws `word` as the flip draw of child `index`."""
+    state = _unmix64(word) ^ int(bitmix.indexed_word(bitmix.FLIP_TAG, index)[0])
+    return _unmix64(state) ^ bitmix.GOLDEN
+
+
+def _assert_threshold_matches_unit(gamma):
+    bound = flip_threshold(gamma)
+    assert (bound == 0) == (gamma == 0.0)
+    assert (bound > bitmix.MASK64) == (gamma == 1.0)
+    for word in (bound + delta for delta in (-2049, -2048, -1, 0, 1, 2047, 2048)):
+        if 0 <= word <= bitmix.MASK64:
+            assert (word < bound) == (bitmix.unit(word) < gamma)
+
+
+@pytest.mark.parametrize("gamma", EDGE_GAMMAS + (0.3, 0.7))
+def test_flip_threshold_at_edges(gamma):
+    _assert_threshold_matches_unit(gamma)
+
+
+@given(gamma=st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=200, deadline=None)
+def test_flip_threshold_matches_unit(gamma):
+    _assert_threshold_matches_unit(gamma)
+
+
+@pytest.mark.parametrize("gamma", EDGE_GAMMAS + (0.3, 0.7))
+def test_enumeration_at_flip_draws_next_to_the_threshold(gamma):
+    # roots built to draw the words either side of the bound, so the
+    # enumeration's integer test meets scalar grown_value's float test
+    # exactly where rounding or a shortcut would part them
+    top = math.ceil(gamma * 2.0**53) << 11
+    open_draws = 0
+    for word in (top - 2048, top - 1, top, top + 1):
+        if not 0 <= word <= bitmix.MASK64:
+            continue
+        for index in range(3):
+            p = GameParams(3, gamma, 1, _seed_drawing(word, index))
+            root = NodeCursor.root(p)
+            assert bitmix.indexed_u64(root.state, bitmix.FLIP_TAG, index) == word
+            open_draws += root.designated_index != index
+            expected = sum(v == PLUS for v in root.child_values()) / 3
+            assert plus_fractions(p, 1)[1] == expected
+    assert open_draws > 0
+
+
+@given(gamma=GAMMAS, b=st.integers(2, 5), n=st.integers(0, 5), seed=st.integers(0, bitmix.MASK64))
+@settings(max_examples=100, deadline=None)
+def test_enumeration_equals_cursor_count(gamma, b, n, seed):
+    p = GameParams(b, gamma, 5, seed)
+    level = [NodeCursor.root(p)]
+    expected = [1.0]
+    for _ in range(n):
+        level = [cursor.child(i) for cursor in level for i in range(b)]
+        expected.append(sum(cursor.value == PLUS for cursor in level) / len(level))
+    assert plus_fractions(p, n).tolist() == expected
 
 
 @given(
