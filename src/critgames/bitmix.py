@@ -106,7 +106,6 @@ _NP_MULT_B = np.uint64(_MULT_B)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
-_S11 = np.uint64(11)
 
 
 def mix64_inplace(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -132,10 +131,6 @@ def mix64_np(x: np.ndarray) -> np.ndarray:
     return mix64_inplace(x.astype(np.uint64, copy=True))
 
 
-def unit_np(h: np.ndarray) -> np.ndarray:
-    return (h >> _S11).astype(np.float64) * _INV53
-
-
 def root_state_np(seeds: np.ndarray) -> np.ndarray:
     return mix64_inplace(seeds.astype(np.uint64) ^ _NP_GOLDEN)
 
@@ -149,10 +144,6 @@ def stream_u64_np(states: np.ndarray, tag: int) -> np.ndarray:
     return mix64_inplace(states ^ np.uint64(tag))
 
 
-def indexed_u64_np(states: np.ndarray, tag: int, index: int) -> np.ndarray:
-    return mix64_inplace(states ^ indexed_word(tag, index))
-
-
 def child_word(index: int | np.ndarray) -> np.ndarray:
     """What `child_state_np` xors into a state before mixing, per index.
 
@@ -163,5 +154,5 @@ def child_word(index: int | np.ndarray) -> np.ndarray:
 
 
 def indexed_word(tag: int, index: int | np.ndarray) -> np.ndarray:
-    """What `indexed_u64_np` xors into a state before mixing, per index."""
+    """What `indexed_u64` xors into a state before mixing, per index, as uint64s."""
     return np.uint64(tag) ^ (np.atleast_1d(index).astype(np.uint64) + np.uint64(1)) * _NP_MULT_B

@@ -529,9 +529,13 @@ def dispatch(argv: Sequence[str]) -> int:
         return 1
     try:
         cfg = _resolve(ns.subcommand, ns)
-        _out_dir(cfg).mkdir(parents=True, exist_ok=True)
+        out = _out_dir(cfg)
+        out.mkdir(parents=True, exist_ok=True)
+        # a failed run leaves no manifest that reads like a finished one,
+        # neither its own nor an earlier run's in the same directory
+        (out / "run_manifest.txt").unlink(missing_ok=True)
         code = _HANDLERS[ns.subcommand](cfg)
-        if code == 0:  # a failed run leaves no manifest that reads like a finished one
+        if code == 0:
             _write_manifest(ns.subcommand, cfg)
         return code
     except UsageError as exc:

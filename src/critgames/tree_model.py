@@ -296,7 +296,7 @@ def mean_plus_fractions(
     node sits in one contiguous block, so nodes within a level are not in
     path order, which a count cannot see. Flip draws are compared as
     integers: ``unit(h) < gamma`` exactly when ``h < flip_threshold(gamma)``,
-    and at gamma 0 or 1, where every draw agrees, none is mixed.
+    and at gamma 1, where every draw flips, none is mixed.
 
     Seeds go in blocks of at most ``chunk_elements`` leaves (but at least
     one instance per block). The default bounds each block's uint64 state
@@ -345,7 +345,7 @@ def _profile_for_seeds(b: int, gamma: float, depth: int, seeds: np.ndarray) -> n
     out = np.empty((n_seeds, depth + 1), dtype=np.float64)
     out[:, 0] = 1.0
     threshold = flip_threshold(gamma)
-    draw = 0 < threshold <= MASK64  # else every draw agrees, and none is mixed
+    draw = threshold <= MASK64  # else (gamma 1) every draw flips, and none is mixed
     bound = np.uint64(threshold if draw else 0)
     index = np.arange(b, dtype=np.uint64)[:, None]
     flip_words, child_words = bitmix.indexed_word(FLIP_TAG, index), bitmix.child_word(index)
@@ -364,18 +364,15 @@ def _profile_for_seeds(b: int, gamma: float, depth: int, seeds: np.ndarray) -> n
             m = hi - lo
             tile_states, tile_plus = states[lo:hi], plus[lo:hi]
             w, s = words[: b * m].reshape(b, m), scratch[: b * m].reshape(b, m)
-            if threshold:
-                choice = tile_plus if level % 2 == 0 else ~tile_plus
-                d = designated[:m]
-                np.bitwise_xor(tile_states, _DESIGNATED, out=d)
-                np.remainder(bitmix.mix64_inplace(d, s[0]), np.uint64(b), out=d)
-                flips = (d != index) & choice
-                if draw:
-                    np.bitwise_xor(tile_states, flip_words, out=w)
-                    flips &= bitmix.mix64_inplace(w, s) < bound
-                np.not_equal(tile_plus, flips, out=child_plus[:, lo:hi])
-            else:
-                child_plus[:, lo:hi] = tile_plus
+            choice = tile_plus if level % 2 == 0 else ~tile_plus
+            d = designated[:m]
+            np.bitwise_xor(tile_states, _DESIGNATED, out=d)
+            np.remainder(bitmix.mix64_inplace(d, s[0]), np.uint64(b), out=d)
+            flips = (d != index) & choice
+            if draw:
+                np.bitwise_xor(tile_states, flip_words, out=w)
+                flips &= bitmix.mix64_inplace(w, s) < bound
+            np.not_equal(tile_plus, flips, out=child_plus[:, lo:hi])
             if child_states is not None:
                 block = child_states[:, lo:hi]
                 np.bitwise_xor(tile_states, child_words, out=block)

@@ -172,6 +172,11 @@ class TestConfigResolution:
         assert code == expected
         assert out.is_dir()
         assert not (out / "run_manifest.txt").exists()
+        # nor does it leave an earlier successful run's manifest in place
+        assert run(capsys, "density", "--n", "4", "--out-dir", str(out))[0] == 0
+        assert (out / "run_manifest.txt").exists()
+        assert run(capsys, *argv, "--out-dir", str(out))[0] == expected
+        assert not (out / "run_manifest.txt").exists()
 
 
 class TestDeterminism:

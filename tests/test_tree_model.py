@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -505,24 +505,22 @@ def _seed_drawing(word, index):
     return _unmix64(state) ^ bitmix.GOLDEN
 
 
-def _assert_threshold_matches_unit(gamma):
+@given(gamma=st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=200, deadline=None)
+@example(gamma=0.0)
+@example(gamma=2.0**-53)
+@example(gamma=0.3)
+@example(gamma=0.5)
+@example(gamma=0.7)
+@example(gamma=1.0 - 2.0**-53)
+@example(gamma=1.0)
+def test_flip_threshold_matches_unit(gamma):
     bound = flip_threshold(gamma)
     assert (bound == 0) == (gamma == 0.0)
     assert (bound > bitmix.MASK64) == (gamma == 1.0)
     for word in (bound + delta for delta in (-2049, -2048, -1, 0, 1, 2047, 2048)):
         if 0 <= word <= bitmix.MASK64:
             assert (word < bound) == (bitmix.unit(word) < gamma)
-
-
-@pytest.mark.parametrize("gamma", EDGE_GAMMAS + (0.3, 0.7))
-def test_flip_threshold_at_edges(gamma):
-    _assert_threshold_matches_unit(gamma)
-
-
-@given(gamma=st.floats(min_value=0.0, max_value=1.0))
-@settings(max_examples=200, deadline=None)
-def test_flip_threshold_matches_unit(gamma):
-    _assert_threshold_matches_unit(gamma)
 
 
 @pytest.mark.parametrize("gamma", EDGE_GAMMAS + (0.3, 0.7))
