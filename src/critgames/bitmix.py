@@ -9,10 +9,28 @@ cross-checked bit for bit by the test suite.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 MASK64 = (1 << 64) - 1
+
+
+def checked_int(name: str, value: object, low: int, high: int | None = None) -> int:
+    """`value` as an `int` in [low, high], else a ValueError naming `name`.
+
+    Counts pass ``low`` alone; seeds pass ``0, MASK64``. numpy integers
+    come back as `int`, so uint64 arithmetic never reaches the mixer.
+    """
+    try:
+        number = operator.index(value)
+        if low <= number and (high is None or number <= high):
+            return number
+    except TypeError:  # not an integer
+        pass
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
 
 GOLDEN = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, odd
 _MULT_A = 0xBF58476D1CE4E5B9

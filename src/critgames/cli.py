@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
+from .bitmix import checked_int
 from .engine import (
     EngineSession,
     LiveTransport,
@@ -35,6 +36,7 @@ from .engine import (
     save_transcript,
 )
 from .experiments import (
+    ALGORITHMS,
     GridSpec,
     emit_results,
     run_grid,
@@ -148,14 +150,14 @@ SUB_OPTS: dict[str, dict[str, Opt]] = {
         "trace": Opt(str, "", "file for the per-iteration path and reward (uct)"),
     },
     "experiment": {
-        "gammas": Opt(_floats, (0.9, 1.0), "critical rates"),
-        "branchings": Opt(_ints, (2, 5, 10), "branching factors"),
-        "explorations": Opt(_floats, (0.1, 0.5, 1.0, 2.0, 5.0), "exploration constants"),
-        "heuristics": Opt(_strs, ("histogram:chess_p10_light",), "leaf evaluators"),
-        "budgets": Opt(_ints, (10, 100, 1000, 10000), "iteration budgets or depths"),
-        "max_depth": Opt(int, 50, "tree depth"),
-        "trees": Opt(int, 500, "instances per cell"),
-        "algo": Opt(str, "uct", "uct or alphabeta"),
+        "gammas": Opt(_floats, GridSpec.gammas, "critical rates"),
+        "branchings": Opt(_ints, GridSpec.branchings, "branching factors"),
+        "explorations": Opt(_floats, GridSpec.explorations, "exploration constants"),
+        "heuristics": Opt(_strs, GridSpec.heuristics, "leaf evaluators"),
+        "budgets": Opt(_ints, GridSpec.budgets, "iteration budgets or depths"),
+        "max_depth": Opt(int, GridSpec.max_depth, "tree depth"),
+        "trees": Opt(int, GridSpec.trees, "instances per cell"),
+        "algo": Opt(str, GridSpec.algorithm, "uct or alphabeta"),
     },
     "pv-check": {
         "b": Opt(int, 2, "branching factor"),
@@ -178,17 +180,19 @@ SUB_OPTS: dict[str, dict[str, Opt]] = {
         "engine": Opt(str, "", "engine command line; empty runs the bundled mock"),
         "scenario": Opt(str, "", "scenario file for the bundled mock"),
         "fens": Opt(str, "", "file of positions to probe, one FEN per line"),
-        "plies": Opt(int, 1, "random-walk length for sampled positions"),
-        "mode": Opt(str, "light", "light or heavy sampling"),
-        "samples": Opt(int, 10, "number of sampled positions"),
-        "multipv": Opt(int, 3, "lines requested from the engine"),
-        "deep_depth": Opt(int, 20, "deep search depth"),
-        "child_depth": Opt(int, 19, "reply search depth"),
-        "heavy_depth": Opt(int, 10, "heavy-walk search depth"),
-        "bins": Opt(int, 64, "histogram bin count"),
-        "timeout": Opt(float, 10.0, "seconds to wait for each engine reply"),
-        "no_perft": Opt(_bool, False, "list moves by wide search, not perft", switch=True),
-        "options": Opt(_pairs, (), "engine option overrides, name=value;name=value"),
+        "plies": Opt(int, ProbeConfig.plies, "random-walk length for sampled positions"),
+        "mode": Opt(str, ProbeConfig.mode, "light or heavy sampling"),
+        "samples": Opt(int, ProbeConfig.samples, "number of sampled positions"),
+        "multipv": Opt(int, ProbeConfig.multipv, "lines requested from the engine"),
+        "deep_depth": Opt(int, ProbeConfig.deep_depth, "deep search depth"),
+        "child_depth": Opt(int, ProbeConfig.child_depth, "reply search depth"),
+        "heavy_depth": Opt(int, ProbeConfig.heavy_depth, "heavy-walk search depth"),
+        "bins": Opt(int, ProbeConfig.hist_bins, "histogram bin count"),
+        "timeout": Opt(float, ProbeConfig.timeout, "seconds to wait for each engine reply"),
+        "no_perft": Opt(_bool, not ProbeConfig.use_perft, "list moves by wide search, not perft",
+                        switch=True),
+        "options": Opt(_pairs, ProbeConfig.options,
+                       "engine option overrides, name=value;name=value"),
     },
 }
 
@@ -309,10 +313,8 @@ def _cmd_gen_tree(cfg: dict[str, object]) -> int:
 
 def _cmd_density(cfg: dict[str, object]) -> int:
     """Print win-node densities and their alternating limits."""
-    n = cfg["n"]
     with _as_usage():
-        if n < 0:
-            raise ValueError("n must be >= 0")
+        n = checked_int("n", cfg["n"], 0)
         params = _game_params(cfg, max(n, 1), 0)
         value = plus_density(params, n)
     if cfg["table"]:
@@ -333,7 +335,7 @@ def _cmd_search(cfg: dict[str, object]) -> int:
         params = _game_params(cfg, cfg["max_depth"], cfg["seed"])
         heuristic = parse_heuristic(cfg["heuristic"])
         algo = cfg["algo"]
-        if algo not in ("uct", "alphabeta"):
+        if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
         if cfg["trace"] and algo != "uct":
             raise ValueError("--trace is for --algo uct only")
@@ -379,9 +381,7 @@ def _cmd_experiment(cfg: dict[str, object]) -> int:
             budgets=cfg["budgets"], max_depth=cfg["max_depth"],
             trees=cfg["trees"], master_seed=cfg["seed"], algorithm=cfg["algo"],
         )
-        workers = cfg["workers"]
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        workers = checked_int("workers", cfg["workers"], 1)
     reports = run_grid(spec, workers=workers)
     written = emit_results(spec, reports, _out_dir(cfg))
     print(f"{len(reports)} cells, {spec.trees} trees each")
@@ -395,11 +395,13 @@ def _cmd_pv_check(cfg: dict[str, object]) -> int:
     with _as_usage():
         if cfg["b"] != 2:
             raise ValueError("the exact separation check is defined for b = 2")
-        depth_max, seeds, cost = cfg["depth_max"], cfg["seeds"], cfg["cost"]
-        if depth_max < 0 or seeds < 1:
-            raise ValueError("depth_max must be >= 0 and seeds >= 1")
+        depth_max = checked_int("depth_max", cfg["depth_max"], 0)
+        seeds, cost = checked_int("seeds", cfg["seeds"], 1), cfg["cost"]
         pv_params = partial(PvParams, branching_factor=2, cost=cost)
         pv_params(max_depth=depth_max + 1, seed=0)
+        pv_params(max_depth=cfg["pv_depth"], seed=0)
+        instances = checked_int("instances", cfg["instances"], 1)
+        playouts = checked_int("playouts", cfg["playouts"], 1)
     checked = failures = 0
     for seed in range(seeds):
         params = pv_params(max_depth=depth_max + 1, seed=seed)
@@ -410,11 +412,6 @@ def _cmd_pv_check(cfg: dict[str, object]) -> int:
     status = "exact" if failures == 0 else f"{failures} FAILED"
     print(f"separation: {checked - failures}/{checked} {status} (d <= {depth_max})")
 
-    with _as_usage():
-        pv_params(max_depth=cfg["pv_depth"], seed=0)
-        instances, playouts = cfg["instances"], cfg["playouts"]
-        if instances < 1:
-            raise ValueError("instances must be >= 1")
     hits = 0
     for seed in range(instances):
         params = pv_params(max_depth=cfg["pv_depth"], seed=seed)

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
+from ..bitmix import checked_int
 from ..heuristics import HistogramPdf, normalized
 from .transport import EngineTimeout
 
@@ -102,18 +103,11 @@ class ProbeConfig:
     options: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.plies < 0:
-            raise ValueError("plies must be >= 0")
+        for name, low in (("plies", 0), ("samples", 1), ("deep_depth", 1), ("child_depth", 1),
+                          ("heavy_depth", 1), ("multipv", 1), ("hist_bins", 1)):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), low))
         if self.mode not in ("light", "heavy"):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if min(self.deep_depth, self.child_depth, self.heavy_depth) < 1:
-            raise ValueError("search depths must be >= 1")
-        if self.multipv < 1:
-            raise ValueError("multipv must be >= 1")
-        if self.hist_bins < 1:
-            raise ValueError("hist_bins must be >= 1")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
 

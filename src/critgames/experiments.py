@@ -54,27 +54,26 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("gammas", "branchings", "explorations", "heuristics", "budgets"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not self.gammas or not self.branchings or not self.explorations:
-            raise ValueError("gamma, b, and c lists must be non-empty")
-        if not self.heuristics:
-            raise ValueError("at least one heuristic required")
-        if not self.budgets:
-            raise ValueError("budget list must be non-empty")
+            values = tuple(getattr(self, name))
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            object.__setattr__(self, name, values)
         if list(self.budgets) != sorted(set(self.budgets)):
             raise ValueError("budgets must be strictly ascending")
-        if any(j < 1 for j in self.budgets):
-            raise ValueError("budgets must be >= 1")
-        if self.trees < 1:
-            raise ValueError("trees per cell must be >= 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master seed must fit in 64 bits")
+        for name, low, high in (("trees", 1, None), ("master_seed", 0, bitmix.MASK64)):
+            object.__setattr__(self, name, bitmix.checked_int(name, getattr(self, name), low, high))
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        for text in self.heuristics:
-            parse_heuristic(text)  # fail fast on typos
+        # every cell's values, checked by the types that own their rules
+        for g, b in product(self.gammas, self.branchings):
+            GameParams(b, g, self.max_depth, 0)
+        for h in map(parse_heuristic, self.heuristics):  # fail fast on typos
+            if self.algorithm == "uct":
+                for c in self.explorations:
+                    UctConfig(c, self.budgets[-1], h, 0, checkpoints=self.budgets)
+            else:
+                for depth in self.budgets:
+                    MinimaxConfig(depth, h, 0)
 
 
 @dataclass(frozen=True)
@@ -210,8 +209,7 @@ def run_grid(
     workers == 1, else over a process pool (a decider must then pickle).
     Results return in task order, so reports do not depend on the worker
     count; a cell's wall_time is the measured sum of its slices' times."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    workers = bitmix.checked_int("workers", workers, 1)
     grid = cells(spec)
     chunk = max(1, math.ceil(spec.trees / (2 * workers)))
     starts = range(0, spec.trees, chunk)
@@ -235,8 +233,7 @@ def run_grid(
 
 def theorem_c_bound(iterations: int) -> float:
     """Exploration constant forcing breadth-first behavior at budget N."""
-    if iterations < 2:
-        raise ValueError("bound needs at least 2 iterations")
+    iterations = bitmix.checked_int("iterations", iterations, 2)
     return math.sqrt(iterations**3 / (2.0 * math.log(iterations)))
 
 
@@ -258,6 +255,9 @@ def run_theorem_experiment(
     master_seed: int = 0,
 ) -> list[TheoremReport]:
     c = theorem_c_bound(iterations)
+    trees = bitmix.checked_int("trees", trees, 1)
+    for b in branchings:  # each value checked before any search runs
+        GameParams(b, 1.0, max_depth, master_seed)
     heuristic = parse_heuristic("perfect")
     reports = []
     for b in branchings:

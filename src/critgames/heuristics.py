@@ -48,12 +48,7 @@ class HistogramPdf:
         if len(self.plus_weights) < 2:
             raise ValueError("need at least 2 bins")
         for name, weights in (("plus", self.plus_weights), ("minus", self.minus_weights)):
-            if not all(0.0 <= w < inf for w in weights):  # NaN fails too
-                raise ValueError(f"negative or non-finite weight in class {name}")
-            total = sum(weights)
-            if total <= 0:
-                raise ValueError(f"class {name} has zero total weight")
-            if abs(total - 1.0) > 1e-9:
+            if abs(_checked_total(weights, f" in class {name}") - 1.0) > 1e-9:
                 raise ValueError(f"class {name} weights must sum to 1")
         object.__setattr__(self, "_plus_cum", _cumulative(self.plus_weights))
         object.__setattr__(self, "_minus_cum", _cumulative(self.minus_weights))
@@ -100,13 +95,20 @@ def _cumulative(weights: Sequence[float]) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _checked_total(weights: Sequence[float], where: str = "") -> float:
+    """Sum of `weights`, which must be finite, non-negative and not all zero;
+    `where` ends the error message."""
+    if not all(0.0 <= w < inf for w in weights):  # NaN fails too
+        raise ValueError(f"negative or non-finite weight{where}")
+    total = sum(weights)
+    if total <= 0:
+        raise ValueError(f"zero total weight{where}")
+    return total
+
+
 def normalized(weights: Iterable[float]) -> tuple[float, ...]:
     ws = tuple(float(w) for w in weights)
-    if not all(0.0 <= w < inf for w in ws):  # NaN fails too
-        raise ValueError("negative or non-finite weight")
-    total = sum(ws)
-    if total <= 0:
-        raise ValueError("zero total weight")
+    total = _checked_total(ws)
     return tuple(w / total for w in ws)
 
 

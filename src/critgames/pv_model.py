@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bitmix
-from .bitmix import COST_TAG, DESIGNATED_TAG, MASK64
+from .bitmix import COST_TAG, DESIGNATED_TAG, MASK64, checked_int
 from .tree_model import NodeCursor
 
 _ENUM_CAP = 10**6
@@ -41,16 +41,13 @@ class PvParams:
     max_random_cost: int | None = None
 
     def __post_init__(self) -> None:
-        if self.branching_factor < 2:
-            raise ValueError("branching_factor must be >= 2")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if not 0 <= self.seed <= MASK64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.cost < 1:
-            raise ValueError("cost must be >= 1")
-        if self.max_random_cost is not None and self.max_random_cost < 1:
-            raise ValueError("max_random_cost must be >= 1")
+        for name, low, high in (
+            ("branching_factor", 2, None), ("max_depth", 1, None), ("seed", 0, MASK64),
+            ("cost", 1, None), ("max_random_cost", 1, None),
+        ):
+            value = getattr(self, name)
+            if value is not None:  # only max_random_cost may be None
+                object.__setattr__(self, name, checked_int(name, value, low, high))
 
 
 def level_cost(params: PvParams, depth: int) -> int:
@@ -88,8 +85,7 @@ def pv_optimal_root_child(params: PvParams) -> int:
 
 def pv_leaf_sum(params: PvParams, path: Sequence[int], d: int) -> int:
     """Exact sum of values over all depth-d descendants of the node at path."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
+    d = checked_int("d", d, 0)
     if params.branching_factor**d > _ENUM_CAP:
         raise ValueError(f"b^d exceeds {_ENUM_CAP}")
     start = PvCursor.walk(params, path)
@@ -117,8 +113,7 @@ def leaf_sum_difference(params: PvParams, d: int) -> int:
 def pv_naive_plan(params: PvParams, playouts_per_child: int, rng_seed: int) -> int:
     """1-ply planner: argmax over root children of mean leaf value from
     uniformly random walks to the bottom of the game; ties uniform."""
-    if playouts_per_child < 1:
-        raise ValueError("playouts_per_child must be >= 1")
+    playouts_per_child = checked_int("playouts_per_child", playouts_per_child, 1)
     rng = np.random.default_rng(rng_seed)
     b = params.branching_factor
     root = PvCursor.root(params)

@@ -26,7 +26,7 @@ from math import inf
 from random import Random  # unused here, kept: the benchmark's traced run wraps this name
 from typing import Callable, Sequence
 
-from .bitmix import child_state, eval_key
+from .bitmix import MASK64, checked_int, child_state, eval_key
 from .heuristics import evaluate  # unused here, kept: the benchmark's traced run wraps this name
 from .heuristics import HeuristicSpec, frontier_scorer
 from .tree_model import GameParams, NodeCursor, designated_child, grown_value
@@ -41,10 +41,8 @@ class MinimaxConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("search depth must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        object.__setattr__(self, "depth", checked_int("depth", self.depth, 1))
+        object.__setattr__(self, "seed", checked_int("seed", self.seed, 0, MASK64))
 
 
 @dataclass(frozen=True)

@@ -41,16 +41,12 @@ class UctConfig:
     def __post_init__(self) -> None:
         if self.exploration < 0:
             raise ValueError("exploration constant must be >= 0")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-        cps = tuple(self.checkpoints) or (self.budget,)
+        for name, low, high in (("budget", 1, None), ("seed", 0, bitmix.MASK64)):
+            object.__setattr__(self, name, bitmix.checked_int(name, getattr(self, name), low, high))
+        cps = tuple(bitmix.checked_int("checkpoints", j, 1, self.budget) for j in self.checkpoints)
         if list(cps) != sorted(set(cps)):
             raise ValueError("checkpoints must be strictly ascending")
-        if cps[0] < 1 or cps[-1] > self.budget:
-            raise ValueError("checkpoints must lie in [1, budget]")
-        object.__setattr__(self, "checkpoints", cps)
+        object.__setattr__(self, "checkpoints", cps or (self.budget,))
 
 
 class _Node:

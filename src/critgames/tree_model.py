@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import bitmix
-from .bitmix import DESIGNATED_TAG, FLIP_TAG, MASK64, indexed_u64, stream_u64, unit
+from .bitmix import DESIGNATED_TAG, FLIP_TAG, MASK64, checked_int, indexed_u64, stream_u64, unit
 
 PLUS = 1
 MINUS = -1
@@ -70,14 +70,12 @@ class GameParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.branching_factor < 2:
-            raise ValueError("branching_factor must be >= 2")
+        for name, low, high in (
+            ("branching_factor", 2, None), ("max_depth", 1, None), ("seed", 0, MASK64)
+        ):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), low, high))
         if not 0.0 <= self.critical_rate <= 1.0:
             raise ValueError("critical_rate must lie in [0, 1]")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if not 0 <= self.seed <= MASK64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -215,8 +213,7 @@ def density_coefficient(params: GameParams) -> float:
 
 def plus_density(params: GameParams, n: int) -> float:
     """Density of +1 nodes at depth n, by the level recurrence."""
-    if not 0 <= n <= params.max_depth:
-        raise ValueError(f"depth {n} out of range [0, {params.max_depth}]")
+    n = checked_int("n", n, 0, params.max_depth)
     return subtree_plus_density(params, PLUS, Player.MAX, n)
 
 
@@ -240,8 +237,7 @@ def subtree_plus_density(
     """Density of +1 nodes `remaining` plies below a node of the given value/player."""
     if value not in (PLUS, MINUS):
         raise ValueError("value must be +1 or -1")
-    if not 0 <= remaining <= params.max_depth:
-        raise ValueError(f"remaining {remaining} out of range [0, {params.max_depth}]")
+    remaining = checked_int("remaining", remaining, 0, params.max_depth)
     k = density_coefficient(params)
     f = 1.0 if value == PLUS else 0.0
     on_move = player
@@ -253,9 +249,7 @@ def subtree_plus_density(
 
 def export_tree(params: GameParams, depth_cap: int) -> str:
     """Graph description of the instance down to depth_cap, digraph text."""
-    if depth_cap < 0:
-        raise ValueError("depth_cap must be >= 0")
-    depth_cap = min(depth_cap, params.max_depth)
+    depth_cap = min(checked_int("depth_cap", depth_cap, 0), params.max_depth)
     if params.branching_factor**depth_cap > _ENUM_CAP:
         raise ValueError(f"b^depth_cap exceeds {_ENUM_CAP}")
     lines = ["digraph {"]
@@ -279,10 +273,8 @@ def export_tree(params: GameParams, depth_cap: int) -> str:
 
 def plus_fractions(params: GameParams, depth: int) -> np.ndarray:
     """Exact per-level fractions of +1 nodes for one instance, levels 0..depth."""
-    if not 0 <= depth <= params.max_depth:
-        raise ValueError(f"depth {depth} out of range [0, {params.max_depth}]")
-    seeds = np.asarray([params.seed], dtype=np.uint64)
-    return mean_plus_fractions(params.branching_factor, params.critical_rate, depth, seeds)
+    depth = checked_int("depth", depth, 0, params.max_depth)
+    return mean_plus_fractions(params.branching_factor, params.critical_rate, depth, [params.seed])
 
 
 def mean_plus_fractions(
@@ -302,15 +294,12 @@ def mean_plus_fractions(
     one instance per block). The default bounds each block's uint64 state
     arrays to a few MB; blocks of hundreds of MB thrash the cache.
     """
-    if b < 2:
-        raise ValueError(f"b must be >= 2, got {b}")
+    b, depth = checked_int("b", b, 2), checked_int("depth", depth, 0)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
     if b**depth > _ENUM_CAP:
         raise ValueError(f"b^depth = {b**depth} exceeds {_ENUM_CAP}")
-    seed_array = np.asarray(list(seeds), dtype=np.uint64)
+    seed_array = np.asarray([checked_int("seeds", s, 0, MASK64) for s in seeds], dtype=np.uint64)
     if seed_array.size == 0:
         raise ValueError("at least one seed required")
     per_chunk = max(1, chunk_elements // b**depth)

@@ -6,6 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critgames import bitmix
+from critgames.engine import ProbeConfig
+from critgames.experiments import GridSpec
+from critgames.heuristics import perfect
+from critgames.pv_model import PvParams
+from critgames.search_minimax import MinimaxConfig
+from critgames.search_uct import UctConfig
+from critgames.tree_model import GameParams, export_tree, mean_plus_fractions, plus_density
 
 
 def test_mix64_masks_and_round_trips():
@@ -99,3 +106,48 @@ def test_keyed_gauss_is_standard_normal():
     assert scipy_stats.kstest(xs, "norm").pvalue > 0.01
     shifted = bitmix.KeyedDraws(bitmix.root_state(2024))
     assert shifted.gauss(2.0, 0.5) == pytest.approx(2.0 + 0.5 * xs[0], abs=1e-12)
+
+
+_SPEC = dict(gammas=(1.0,), branchings=(2,), explorations=(0.5,), budgets=(10,), trees=1)
+
+
+def _config_cases():
+    """(name, build, value): `build(value)` hands `value` to the argument `name`."""
+    h = perfect()
+    seeds = [
+        ("seed", lambda s: GameParams(2, 0.5, 4, s)),
+        ("seed", lambda s: PvParams(2, 4, s)),
+        ("seed", lambda s: UctConfig(1.0, 10, h, s)),
+        ("seed", lambda s: MinimaxConfig(2, h, s)),
+        ("master_seed", lambda s: GridSpec(**_SPEC, master_seed=s)),
+        ("seeds", lambda s: mean_plus_fractions(2, 0.5, 4, [0, s])),
+    ]
+    counts = [
+        ("branching_factor", lambda n: GameParams(n, 0.5, 4, 0)),
+        ("max_depth", lambda n: GameParams(2, 0.5, n, 0)),
+        ("branching_factor", lambda n: PvParams(n, 4, 0)),
+        ("budget", lambda n: UctConfig(1.0, n, h, 0)),
+        ("depth", lambda n: MinimaxConfig(n, h, 0)),
+        ("branching_factor", lambda n: GridSpec(**{**_SPEC, "branchings": (n,)})),
+        ("budget", lambda n: GridSpec(**{**_SPEC, "budgets": (n,)})),
+        ("depth", lambda n: GridSpec(**{**_SPEC, "budgets": (n,)}, algorithm="alphabeta")),
+        ("deep_depth", lambda n: ProbeConfig(deep_depth=n)),
+        ("b", lambda n: mean_plus_fractions(n, 0.5, 4, [0])),
+        ("depth", lambda n: mean_plus_fractions(2, 0.5, n, [0])),
+        ("n", lambda n: plus_density(GameParams(2, 0.5, 4, 0), n)),
+        ("depth_cap", lambda n: export_tree(GameParams(2, 0.5, 4, 0), n)),
+    ]
+    return [
+        pytest.param(name, build, value, id=f"{name}={value!r}-{i}")
+        for i, (name, build) in enumerate(seeds)
+        for value in (1.5, -1, 2**64)
+    ] + [
+        pytest.param(name, build, 2.5, id=f"{name}=2.5-{i}")
+        for i, (name, build) in enumerate(counts)
+    ]
+
+
+@pytest.mark.parametrize("name, build, value", _config_cases())
+def test_config_types_name_a_bad_count_or_seed(name, build, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+        build(value)

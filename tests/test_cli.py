@@ -178,6 +178,46 @@ class TestConfigResolution:
         assert run(capsys, *argv, "--out-dir", str(out))[0] == expected
         assert not (out / "run_manifest.txt").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("branchings", "1", "branching_factor must be an integer >= 2"),
+            ("gammas", "1.5", "critical_rate must lie in [0, 1]"),
+            ("explorations", "-1", "exploration constant must be >= 0"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_grid_value_fails_before_any_search(
+        self, capsys, tmp_path, key, value, message, source
+    ):
+        args = ["experiment", "--budgets", "10", "--trees", "2", "--workers", "1",
+                "--out-dir", str(tmp_path)]
+        if source == "flag":
+            args += [f"--{key}", value]
+        else:
+            cfg = tmp_path / "grid.cfg"
+            cfg.write_text(f"experiment.{key} = {value}\n")
+            args += ["--config", str(cfg)]
+        code, _, err = run(capsys, *args)
+        assert code == 1
+        assert message in err
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("theorem", "--verify", "--trees", "0"), "trees must be an integer >= 1"),
+            (("theorem", "--verify", "--trees", "2", "--branchings", "2,1"), "branching_factor"),
+            (("pv-check", "--depth-max", "1", "--seeds", "1", "--playouts", "0"),
+             "playouts must be an integer >= 1"),
+        ],
+    )
+    def test_bad_count_is_usage_error(self, capsys, tmp_path, args, message):
+        code, out, err = run(capsys, *args, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert message in err
+        assert "separation" not in out and "b=2" not in out  # nothing ran
+
 
 class TestDeterminism:
     def test_gen_tree_same_seed_same_files(self, capsys, tmp_path):

@@ -3,8 +3,10 @@ determinism, checkpoint consistency, and small-scale decision quality."""
 
 import io
 import math
+import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from critgames.search_uct import (
     ucb_score,
     uct_search,
 )
-from critgames.tree_model import GameParams, Player, node_meta, walk
+from critgames.tree_model import GameParams, Player, node_meta, node_value, walk
 
 LIGHT = parse_heuristic("histogram:chess_p10_light")
 
@@ -290,3 +292,16 @@ class TestBreadthFirst:
         params = make_params(d_max=3, seed=5)
         res = uct_search(params, UctConfig(2.0, 120, gaussian(0.3), seed=2))
         assert breadth_first_check(res.tree) == res.breadth_first
+
+
+def test_numpy_seeds_equal_int_seeds_without_warnings():
+    tree_seed, search_seed = 2**63 + 12345, 2**64 - 3
+    ints = GameParams(2, 0.7, 12, tree_seed), UctConfig(0.5, 300, perfect(), search_seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        params = GameParams(2, 0.7, 12, np.uint64(tree_seed))
+        cfg = UctConfig(0.5, 300, perfect(), np.uint64(search_seed))
+        assert params == ints[0] and cfg == ints[1]
+        for path in [(), (0,), (1, 0, 1), (1, 1, 0, 0, 1)]:
+            assert node_value(params, path) == node_value(ints[0], path)
+        assert uct_search(params, cfg).to_json() == uct_search(*ints).to_json()
