@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, replace
+from threading import TIMEOUT_MAX
 from typing import Literal, Sequence
 
 from ..bitmix import checked_int
@@ -108,8 +109,8 @@ class ProbeConfig:
             object.__setattr__(self, name, checked_int(name, getattr(self, name), low))
         if self.mode not in ("light", "heavy"):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout <= TIMEOUT_MAX:  # NaN fails too
+            raise ValueError(f"timeout must lie in (0, {TIMEOUT_MAX:g}], got {self.timeout!r}")
 
     def resolved_options(self) -> tuple[tuple[str, str], ...]:
         base = [

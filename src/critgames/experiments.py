@@ -21,12 +21,12 @@ from hashlib import blake2b
 from itertools import product
 from pathlib import Path
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bitmix
 from .heuristics import HeuristicSpec, parse_heuristic
 from .search_minimax import MinimaxConfig, alphabeta
-from .search_uct import UctConfig, uct_search
+from .search_uct import SearchResult, UctConfig, uct_search
 from .tree_model import GameParams, node_meta
 
 _TREE_TAG = 0xB5297A4D3F84D5A9
@@ -135,6 +135,16 @@ def _decisions(
     return out
 
 
+def cell_trees(
+    cell: Cell, master_seed: int, trees: Iterable[int]
+) -> Iterator[tuple[GameParams, frozenset[int], int, int]]:
+    """(params, optimal root moves, tree seed, search seed) for each listed tree."""
+    for t in trees:
+        tree_seed, search_seed = tree_seeds(cell, master_seed, t)
+        params = GameParams(cell.branching, cell.gamma, cell.max_depth, tree_seed)
+        yield params, node_meta(params, ()).optimal_moves, tree_seed, search_seed
+
+
 def run_cell(
     cell: Cell,
     master_seed: int,
@@ -144,10 +154,8 @@ def run_cell(
     """Per-tree correctness records: one {budget: correct} dict per tree."""
     records = []
     heuristic = parse_heuristic(cell.heuristic)
-    for t in tree_range if tree_range is not None else range(cell.trees):
-        tree_seed, search_seed = tree_seeds(cell, master_seed, t)
-        params = GameParams(cell.branching, cell.gamma, cell.max_depth, tree_seed)
-        optimal = node_meta(params, ()).optimal_moves
+    trees = tree_range if tree_range is not None else range(cell.trees)
+    for params, optimal, tree_seed, search_seed in cell_trees(cell, master_seed, trees):
         if decider is None:
             actions = _decisions(cell, heuristic, params, search_seed)
         else:
@@ -247,6 +255,19 @@ class TheoremReport:
     standard_error: float
 
 
+def theorem_runs(
+    iterations: int, b: int, trees: int, max_depth: int, master_seed: int
+) -> Iterator[tuple[GameParams, frozenset[int], SearchResult]]:
+    """(params, optimal root moves, search result) for each tree of the
+    theorem cell: gamma = 1, the perfect evaluator, c at the bound for N."""
+    c = theorem_c_bound(iterations)
+    trees = bitmix.checked_int("trees", trees, 1)
+    cell = Cell(1.0, b, c, "perfect", (iterations,), max_depth, trees, "uct")
+    heuristic = parse_heuristic("perfect")
+    for params, optimal, _, search_seed in cell_trees(cell, master_seed, range(trees)):
+        yield params, optimal, uct_search(params, UctConfig(c, iterations, heuristic, search_seed))
+
+
 def run_theorem_experiment(
     iterations: int = 512,
     branchings: Sequence[int] = (2, 3),
@@ -258,30 +279,15 @@ def run_theorem_experiment(
     trees = bitmix.checked_int("trees", trees, 1)
     for b in branchings:  # each value checked before any search runs
         GameParams(b, 1.0, max_depth, master_seed)
-    heuristic = parse_heuristic("perfect")
     reports = []
     for b in branchings:
-        cell = Cell(1.0, b, c, "perfect", (iterations,), max_depth, trees, "uct")
-        uniform = 0
-        correct = 0
-        for t in range(trees):
-            tree_seed, search_seed = tree_seeds(cell, master_seed, t)
-            params = GameParams(b, 1.0, max_depth, tree_seed)
-            cfg = UctConfig(c, iterations, heuristic, search_seed)
-            result = uct_search(params, cfg)
+        uniform = correct = 0
+        for _, optimal, result in theorem_runs(iterations, b, trees, max_depth, master_seed):
             uniform += result.breadth_first.holds
-            correct += result.final_action in node_meta(params, ()).optimal_moves
+            correct += result.final_action in optimal
         accuracy = correct / trees
-        reports.append(
-            TheoremReport(
-                b,
-                c,
-                iterations,
-                uniform / trees,
-                accuracy,
-                math.sqrt(accuracy * (1.0 - accuracy) / trees),
-            )
-        )
+        se = math.sqrt(accuracy * (1.0 - accuracy) / trees)
+        reports.append(TheoremReport(b, c, iterations, uniform / trees, accuracy, se))
     return reports
 
 

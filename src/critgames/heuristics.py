@@ -121,8 +121,8 @@ class HeuristicSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown heuristic kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not self.sigma >= 0:  # NaN fails too
+            raise ValueError(f"sigma must be >= 0, got {self.sigma!r}")
         if (self.histogram is None) == (self.kind == "histogram"):
             raise ValueError("histogram data required exactly for the histogram kind")
 

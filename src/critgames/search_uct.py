@@ -39,8 +39,8 @@ class UctConfig:
     checkpoints: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.exploration < 0:
-            raise ValueError("exploration constant must be >= 0")
+        if not self.exploration >= 0:  # NaN fails too
+            raise ValueError(f"exploration constant must be >= 0, got {self.exploration!r}")
         for name, low, high in (("budget", 1, None), ("seed", 0, bitmix.MASK64)):
             object.__setattr__(self, name, bitmix.checked_int(name, getattr(self, name), low, high))
         cps = tuple(bitmix.checked_int("checkpoints", j, 1, self.budget) for j in self.checkpoints)

@@ -91,10 +91,10 @@ def check_path(params: GameParams, path: Sequence[int]) -> tuple[int, ...]:
     path = tuple(path)
     if len(path) > params.max_depth:
         raise ValueError(f"path depth {len(path)} exceeds max_depth {params.max_depth}")
-    for index in path:
-        if not 0 <= index < params.branching_factor:
-            raise ValueError(f"child index {index} out of range [0, {params.branching_factor})")
-    return path
+    try:
+        return tuple(checked_int("child index", i, 0, params.branching_factor - 1) for i in path)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in path {path!r}") from None
 
 
 def designated_child(params: GameParams, depth: int, value: int, state: int) -> int:

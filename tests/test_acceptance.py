@@ -26,14 +26,7 @@ from critgames.engine import (
     run_probe,
     save_transcript,
 )
-from critgames.experiments import (
-    Cell,
-    GridSpec,
-    run_grid,
-    run_theorem_experiment,
-    theorem_c_bound,
-    tree_seeds,
-)
+from critgames.experiments import GridSpec, run_grid, theorem_runs
 from critgames.heuristics import load_histogram, parse_heuristic, save_histogram
 from critgames.pv_model import (
     PvParams,
@@ -49,7 +42,6 @@ from critgames.tree_model import (
     NodeCursor,
     density_limits,
     mean_plus_fractions,
-    node_meta,
     plus_density,
 )
 
@@ -94,18 +86,8 @@ def benign_reports():
 THEOREM_TREES, THEOREM_DEPTH, THEOREM_SEED = 500, 50, 0
 
 
-@pytest.fixture(scope="module")
-def theorem_reports():
-    return run_theorem_experiment(
-        iterations=512,
-        branchings=(2, 3),
-        trees=THEOREM_TREES,
-        max_depth=THEOREM_DEPTH,
-        master_seed=THEOREM_SEED,
-    )
-
-
 class Washout(NamedTuple):
+    breadth_first_fraction: float  # share of runs that grew their tree breadth first
     accuracy: float
     standard_error: float
     mean_gap: float  # optimal root child's mean minus its best sibling's, per tree
@@ -115,22 +97,17 @@ class Washout(NamedTuple):
 
 
 def _washout(b: int, iterations: int) -> Washout:
-    """The theorem cell at budget N, seeded as run_theorem_experiment
-    seeds it, with each root subtree recounted from the tree model in
-    one walk that carries a NodeCursor down the tracked tree."""
-    c = theorem_c_bound(iterations)
-    cell = Cell(1.0, b, c, "perfect", (iterations,), THEOREM_DEPTH, THEOREM_TREES, "uct")
-    heuristic = parse_heuristic("perfect")
-    correct = 0
-    gap_sum = 0.0
-    recount_error = 0.0
+    """One pass over the theorem cell's runs at budget N, with each root
+    subtree recounted from the tree model in one walk that carries a
+    NodeCursor down the tracked tree."""
+    uniform = correct = 0
+    gap_sum = recount_error = 0.0
     level_gaps: set[int] = set()
     fewest_levels = THEOREM_DEPTH
-    for t in range(THEOREM_TREES):
-        tree_seed, search_seed = tree_seeds(cell, THEOREM_SEED, t)
-        params = GameParams(b, 1.0, THEOREM_DEPTH, tree_seed)
-        result = uct_search(params, UctConfig(c, iterations, heuristic, search_seed))
-        (best,) = node_meta(params, ()).optimal_moves  # at rate 1 every other child flips
+    runs = theorem_runs(iterations, b, THEOREM_TREES, THEOREM_DEPTH, THEOREM_SEED)
+    for params, optimal, result in runs:
+        uniform += result.breadth_first.holds
+        (best,) = optimal  # at rate 1 every other child flips
         correct += result.final_action == best
         # wins[i][lvl] and sizes[i][lvl] count tracked nodes lvl plies below root child i
         wins = [[0] * iterations for _ in range(b)]
@@ -162,6 +139,7 @@ def _washout(b: int, iterations: int) -> Washout:
         gap_sum += means[best] - max(means[i] for i in siblings)
     accuracy = correct / THEOREM_TREES
     return Washout(
+        uniform / THEOREM_TREES,
         accuracy,
         math.sqrt(accuracy * (1.0 - accuracy) / THEOREM_TREES),
         gap_sum / THEOREM_TREES,
@@ -169,6 +147,12 @@ def _washout(b: int, iterations: int) -> Washout:
         frozenset(level_gaps),
         fewest_levels,
     )
+
+
+@pytest.fixture(scope="module")
+def theorem_washouts():
+    """One N = 512 pass per b, read by both 5a and 5b."""
+    return {b: _washout(b, 512) for b in (2, 3)}
 
 
 # -- criteria ------------------------------------------------------------
@@ -277,10 +261,10 @@ def test_criterion_04_no_pathology_at_half_rate(benign_reports):
         assert rep.deltas[-1] >= rep.deltas[0] - 2.0 * se
 
 
-def test_criterion_05a_breadth_first_regime(theorem_reports):
+def test_criterion_05a_breadth_first_regime(theorem_washouts):
     """With the concentration-bound exploration constant, every run of
     512 iterations grows the tree breadth first."""
-    fractions = {rep.branching: rep.breadth_first_fraction for rep in theorem_reports}
+    fractions = {b: run.breadth_first_fraction for b, run in theorem_washouts.items()}
     ok = all(f == 1.0 for f in fractions.values())
     report(
         "5a", ok,
@@ -290,7 +274,7 @@ def test_criterion_05a_breadth_first_regime(theorem_reports):
         assert fraction == 1.0
 
 
-def test_criterion_05b_decision_accuracy_near_chance(theorem_reports):
+def test_criterion_05b_decision_accuracy_near_chance(theorem_washouts):
     """With the bound-sized exploration constant (5a) and an exact
     evaluator, more search washes out the root decision.
 
@@ -313,27 +297,19 @@ def test_criterion_05b_decision_accuracy_near_chance(theorem_reports):
     most a limit of much larger budgets. The CRITERION line prints the
     distance from chance at both budgets; it is not asserted.
 
-    Checked, on run_theorem_experiment's own seeds at N = 64 and 512:
-    the per-tree decisions at 512 reproduce the fixture's accuracy; each
-    root child's mean equals a recount of its subtree from the tree model;
-    every complete level has a win gap of exactly 1; the mean gap
-    shrinks with N for each b; accuracy at b = 2, N = 512 is exactly 1;
-    and accuracy at b = 3 falls at least two combined standard errors
-    from N = 64 to N = 512 (criterion 3's rule).
+    Checked, on the theorem cell's runs at N = 64 and 512 (the N = 512
+    runs are 5a's pass): each root child's mean equals a recount of its
+    subtree from the tree model; every complete level has a win gap of
+    exactly 1; the mean gap shrinks with N for each b; accuracy at b = 2,
+    N = 512 is exactly 1; and accuracy at b = 3 falls at least two
+    combined standard errors from N = 64 to N = 512 (criterion 3's rule).
     """
-    runs = {
-        (rep.branching, n): _washout(rep.branching, n)
-        for rep in theorem_reports
-        for n in (64, 512)
-    }
-    fixture = {rep.branching: rep.accuracy for rep in theorem_reports}
+    runs = {(b, 512): run for b, run in theorem_washouts.items()}
+    runs.update({(b, 64): _washout(b, 64) for b in theorem_washouts})
     small, large = runs[3, 64], runs[3, 512]
     se = combined_se(small.standard_error, large.standard_error)
     drop = small.accuracy - large.accuracy
     checks = {
-        "per-tree decisions reproduce the fixture's accuracy": all(
-            runs[b, 512].accuracy == acc for b, acc in fixture.items()
-        ),
         "root-child means equal the tree-model recount": all(
             run.recount_error <= 1e-12 for run in runs.values()
         ),
@@ -341,13 +317,13 @@ def test_criterion_05b_decision_accuracy_near_chance(theorem_reports):
             run.level_gaps == {1} for run in runs.values()
         ),
         "mean gap shrinks from N=64 to N=512": all(
-            runs[b, 512].mean_gap < runs[b, 64].mean_gap for b in fixture
+            runs[b, 512].mean_gap < runs[b, 64].mean_gap for b in theorem_washouts
         ),
         "b=2, N=512 decides optimally on every tree": runs[2, 512].accuracy == 1.0,
         "b=3 accuracy falls >= 2 se from N=64 to N=512": drop >= 2.0 * se,
     }
     details = []
-    for b in fixture:
+    for b in theorem_washouts:
         chance = 1.0 / b
         for n in (64, 512):
             run = runs[b, n]

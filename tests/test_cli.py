@@ -184,6 +184,8 @@ class TestConfigResolution:
             ("branchings", "1", "branching_factor must be an integer >= 2"),
             ("gammas", "1.5", "critical_rate must lie in [0, 1]"),
             ("explorations", "-1", "exploration constant must be >= 0"),
+            ("explorations", "nan", "exploration constant must be >= 0"),
+            ("heuristics", "gaussian:nan", "sigma must be >= 0"),
         ],
     )
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -210,6 +212,11 @@ class TestConfigResolution:
             (("theorem", "--verify", "--trees", "2", "--branchings", "2,1"), "branching_factor"),
             (("pv-check", "--depth-max", "1", "--seeds", "1", "--playouts", "0"),
              "playouts must be an integer >= 1"),
+            (("search", "--c", "nan", "--budget", "50"), "exploration constant must be >= 0"),
+            (("search", "--heuristic", "gaussian:nan", "--budget", "50"), "sigma must be >= 0"),
+            # a spawned engine would fail with exit 2, so exit 1 means none was
+            (("probe", "--engine", "/nonexistent/engine", "--timeout", "nan"), "timeout must"),
+            (("probe", "--engine", "/nonexistent/engine", "--timeout", "inf"), "timeout must"),
         ],
     )
     def test_bad_count_is_usage_error(self, capsys, tmp_path, args, message):
@@ -217,6 +224,7 @@ class TestConfigResolution:
         assert code == 1
         assert message in err
         assert "separation" not in out and "b=2" not in out  # nothing ran
+        assert not any(tmp_path.iterdir())  # no results.csv, search.json or manifest
 
 
 class TestDeterminism:

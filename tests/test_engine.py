@@ -163,6 +163,8 @@ class TestConfigAndPosition:
             {"multipv": 0},
             {"hist_bins": 0},
             {"timeout": 0.0},
+            {"timeout": float("nan")},
+            {"timeout": float("inf")},
         ],
     )
     def test_rejects_bad_config(self, kwargs):

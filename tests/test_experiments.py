@@ -19,6 +19,7 @@ from critgames.experiments import (
     run_grid,
     run_theorem_experiment,
     theorem_c_bound,
+    theorem_runs,
     tree_seeds,
 )
 
@@ -231,14 +232,16 @@ class TestTheoremBound:
             theorem_c_bound(1)
 
     def test_experiment_smoke(self):
-        reports = run_theorem_experiment(
-            iterations=64, branchings=(2,), trees=8, max_depth=10, master_seed=3
-        )
-        assert len(reports) == 1
-        rep = reports[0]
-        assert rep.breadth_first_fraction == 1.0
-        assert 0.0 <= rep.accuracy <= 1.0
-        assert rep.exploration == pytest.approx(theorem_c_bound(64))
+        """run_theorem_experiment is a fold over theorem_runs."""
+        for b, rep in zip((2, 3), run_theorem_experiment(64, (2, 3), 8, 10, 3), strict=True):
+            runs = list(theorem_runs(64, b, 8, 10, 3))
+            uniform = sum(result.breadth_first.holds for _, _, result in runs) / 8
+            accuracy = sum(result.final_action in optimal for _, optimal, result in runs) / 8
+            se = math.sqrt(accuracy * (1.0 - accuracy) / 8)
+            assert (rep.breadth_first_fraction, rep.accuracy, rep.standard_error) == (
+                uniform, accuracy, se)
+            assert uniform == 1.0
+            assert (rep.branching, rep.exploration) == (b, pytest.approx(theorem_c_bound(64)))
 
 
 class TestEmission:

@@ -75,8 +75,9 @@ class TestGaussian:
         assert sum(minus) / len(minus) < 0.2
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian(-0.1)
+        for sigma in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="sigma must be >= 0"):
+                gaussian(sigma)
 
 
 class TestPlayouts:

@@ -54,8 +54,9 @@ class TestUctConfig:
         assert cfg.checkpoints == (50,)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            UctConfig(-0.1, 10, perfect(), seed=0)
+        for c in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="exploration constant must be >= 0"):
+                UctConfig(c, 10, perfect(), seed=0)
         with pytest.raises(ValueError):
             UctConfig(1.0, 0, perfect(), seed=0)
         with pytest.raises(ValueError):

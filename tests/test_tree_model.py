@@ -76,12 +76,12 @@ class TestNodeValue:
 
     def test_invalid_paths_rejected(self):
         p = params(depth=3)
-        with pytest.raises(ValueError):
-            node_value(p, (2,))
-        with pytest.raises(ValueError):
-            node_value(p, (-1,))
-        with pytest.raises(ValueError):
+        for index in (0.5, -1, 2):
+            with pytest.raises(ValueError, match=rf"child index .* in path \({index},\)"):
+                node_value(p, (index,))
+        with pytest.raises(ValueError, match="exceeds max_depth"):
             node_value(p, (0, 0, 0, 0))
+        assert node_value(p, (np.int64(1),)) == node_value(p, (1,))
 
     def test_pure_across_query_orders(self):
         p = params(b=3, gamma=0.7, depth=6, seed=11)
