@@ -44,7 +44,13 @@ from .experiments import (
     theorem_c_bound,
 )
 from .heuristics import parse_heuristic, save_histogram
-from .pv_model import PvParams, leaf_sum_difference, pv_naive_plan, pv_optimal_root_child
+from .pv_model import (
+    PvParams,
+    leaf_sum_difference,
+    leaf_sum_distance,
+    pv_naive_plan,
+    pv_optimal_root_child,
+)
 from .search_minimax import MinimaxConfig, alphabeta
 from .search_uct import UctConfig, uct_search
 from .tree_model import GameParams, density_limits, export_tree, plus_density
@@ -395,7 +401,7 @@ def _cmd_pv_check(cfg: dict[str, object]) -> int:
     with _as_usage():
         if cfg["b"] != 2:
             raise ValueError("the exact separation check is defined for b = 2")
-        depth_max = checked_int("depth_max", cfg["depth_max"], 0)
+        depth_max = leaf_sum_distance(2, cfg["depth_max"], "depth_max")
         seeds, cost = checked_int("seeds", cfg["seeds"], 1), cfg["cost"]
         pv_params = partial(PvParams, branching_factor=2, cost=cost)
         pv_params(max_depth=depth_max + 1, seed=0)

@@ -15,7 +15,11 @@ cost-at-level-0 * 2^d.
 
 `PvCursor` is the `tree_model` cursor with this growth rule in place of
 the win-loss one, so paths are checked and child states derived exactly
-as for the win-loss trees.
+as for the win-loss trees. `_child_values` is the rule's one numpy copy:
+the leaf sums expand whole levels through it and the playout planner
+steps its walks through it. Both hold values in int64, so `PvParams`
+bounds k * max_depth such that every node value, and every sum of up to
+`_ENUM_CAP` of them, fits.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .bitmix import COST_TAG, DESIGNATED_TAG, MASK64, checked_int
 from .tree_model import NodeCursor
 
 _ENUM_CAP = 10**6
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,14 @@ class PvParams:
             value = getattr(self, name)
             if value is not None:  # only max_random_cost may be None
                 object.__setattr__(self, name, checked_int(name, value, low, high))
+        name = "cost" if self.max_random_cost is None else "max_random_cost"
+        k = getattr(self, name)
+        # a node's value lies within 1 +- k * depth; a leaf sum adds up to _ENUM_CAP of them
+        if (1 + k * self.max_depth) * _ENUM_CAP > _INT64_MAX:
+            raise ValueError(
+                f"{name} * max_depth must be at most {_INT64_MAX // _ENUM_CAP - 1} "
+                f"for values to fit in int64, got {k} * {self.max_depth}"
+            )
 
 
 def level_cost(params: PvParams, depth: int) -> int:
@@ -61,17 +74,29 @@ def level_cost(params: PvParams, depth: int) -> int:
 class PvCursor(NodeCursor):
     """NodeCursor under the prefix-value growth rule; `params` is a PvParams."""
 
-    @property
-    def level_cost(self) -> int:
-        return level_cost(self.params, self.depth)
-
     def child_value(self, index: int) -> int:
         if self.terminal:
             raise ValueError("terminal node has no children")
         if index == self.designated_index:
             return self.value
-        k = self.level_cost
+        k = level_cost(self.params, self.depth)
         return self.value - k if self.depth % 2 == 0 else self.value + k
+
+
+def _child_values(
+    params: PvParams, depth: int, values: np.ndarray, states: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """Child values of the nodes (values, states) at `depth`, in int64.
+
+    `index` holds one child index per node, or is the column
+    ``arange(b)[:, None]``, which gives every child of every node as a
+    (b, n) array, child j in row j. The children's states are
+    ``bitmix.child_state_np(states, index)``, in the same shape.
+    """
+    b = params.branching_factor
+    designated = bitmix.stream_u64_np(states, DESIGNATED_TAG) % np.uint64(b)
+    k = level_cost(params, depth)
+    return np.where(index == designated.astype(np.int64), values, values + (k if depth % 2 else -k))
 
 
 def pv_value(params: PvParams, path: Sequence[int]) -> int:
@@ -83,23 +108,31 @@ def pv_optimal_root_child(params: PvParams) -> int:
     return PvCursor.root(params).designated_index
 
 
+def leaf_sum_distance(b: int, d: object, name: str = "d") -> int:
+    """`d` as an int >= 0 whose b^d descendants a leaf sum may enumerate."""
+    d = checked_int(name, d, 0)
+    # b >= 2, so every d past the cap's bit length is over the cap
+    if b ** min(d, _ENUM_CAP.bit_length()) > _ENUM_CAP:
+        raise ValueError(f"b^{name} exceeds {_ENUM_CAP}")
+    return d
+
+
 def pv_leaf_sum(params: PvParams, path: Sequence[int], d: int) -> int:
-    """Exact sum of values over all depth-d descendants of the node at path."""
-    d = checked_int("d", d, 0)
-    if params.branching_factor**d > _ENUM_CAP:
-        raise ValueError(f"b^d exceeds {_ENUM_CAP}")
+    """Exact sum of values over all depth-d descendants of the node at path,
+    expanding each level whole, index-major as in `tree_model`."""
+    d = leaf_sum_distance(params.branching_factor, d)
     start = PvCursor.walk(params, path)
     if start.depth + d > params.max_depth:
         raise ValueError("descendants at depth d do not exist")
-
-    b = params.branching_factor
-
-    def rec(cursor: PvCursor, remaining: int) -> int:
-        if remaining == 0:
-            return cursor.value
-        return sum(rec(cursor.child(i), remaining - 1) for i in range(b))
-
-    return rec(start, d)
+    column = np.arange(params.branching_factor, dtype=np.int64)[:, None]
+    values = np.full(1, start.value, dtype=np.int64)
+    states = np.full(1, start.state, dtype=np.uint64)
+    last = start.depth + d - 1
+    for depth in range(start.depth, last + 1):
+        values = _child_values(params, depth, values, states, column).reshape(-1)
+        if depth < last:  # the leaves' own states are never read
+            states = bitmix.child_state_np(states, column).reshape(-1)
+    return int(values.sum())
 
 
 def leaf_sum_difference(params: PvParams, d: int) -> int:
@@ -114,22 +147,17 @@ def pv_naive_plan(params: PvParams, playouts_per_child: int, rng_seed: int) -> i
     """1-ply planner: argmax over root children of mean leaf value from
     uniformly random walks to the bottom of the game; ties uniform."""
     playouts_per_child = checked_int("playouts_per_child", playouts_per_child, 1)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(checked_int("rng_seed", rng_seed, 0, MASK64))
     b = params.branching_factor
     root = PvCursor.root(params)
-    steps = params.max_depth - 1
     means = []
     for action in range(b):
         child = root.child(action)
         values = np.full(playouts_per_child, child.value, dtype=np.int64)
         states = np.full(playouts_per_child, child.state, dtype=np.uint64)
-        for depth in range(1, 1 + steps):
+        for depth in range(1, params.max_depth):
             indices = rng.integers(0, b, size=playouts_per_child)
-            designated = bitmix.stream_u64_np(states, DESIGNATED_TAG) % np.uint64(b)
-            cost = np.int64(level_cost(params, depth))
-            sign = -1 if depth % 2 == 0 else 1
-            off_designated = indices != designated.astype(np.int64)
-            values = values + np.where(off_designated, sign * cost, 0)
+            values = _child_values(params, depth, values, states, indices)
             states = bitmix.child_state_np(states, indices)
         means.append(float(values.mean()))
     best = max(means)

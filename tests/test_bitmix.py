@@ -9,7 +9,7 @@ from critgames import bitmix
 from critgames.engine import ProbeConfig
 from critgames.experiments import GridSpec
 from critgames.heuristics import perfect
-from critgames.pv_model import PvParams
+from critgames.pv_model import PvParams, pv_naive_plan
 from critgames.search_minimax import MinimaxConfig
 from critgames.search_uct import UctConfig
 from critgames.tree_model import GameParams, export_tree, mean_plus_fractions, plus_density
@@ -121,6 +121,7 @@ def _config_cases():
         ("seed", lambda s: MinimaxConfig(2, h, s)),
         ("master_seed", lambda s: GridSpec(**_SPEC, master_seed=s)),
         ("seeds", lambda s: mean_plus_fractions(2, 0.5, 4, [0, s])),
+        ("rng_seed", lambda s: pv_naive_plan(PvParams(2, 4, 0), 1, s)),
     ]
     counts = [
         ("branching_factor", lambda n: GameParams(n, 0.5, 4, 0)),

@@ -217,6 +217,10 @@ class TestConfigResolution:
             # a spawned engine would fail with exit 2, so exit 1 means none was
             (("probe", "--engine", "/nonexistent/engine", "--timeout", "nan"), "timeout must"),
             (("probe", "--engine", "/nonexistent/engine", "--timeout", "inf"), "timeout must"),
+            (("pv-check", "--depth-max", "25", "--seeds", "1", "--instances", "1"),
+             "b^depth_max exceeds"),
+            (("pv-check", "--cost", str(2**62), "--pv-depth", "20", "--depth-max", "3"),
+             "cost * max_depth must be at most"),
         ],
     )
     def test_bad_count_is_usage_error(self, capsys, tmp_path, args, message):

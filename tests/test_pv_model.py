@@ -1,20 +1,39 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critgames import bitmix
 from critgames.pv_model import (
     PvCursor,
     PvParams,
+    _child_values,
     leaf_sum_difference,
+    level_cost,
     pv_leaf_sum,
     pv_naive_plan,
     pv_optimal_root_child,
     pv_value,
 )
 
+# largest cost * max_depth for which (1 + cost * max_depth) * 10^6 fits in int64
+K_DEPTH_LIMIT = (2**63 - 1) // 10**6 - 1
+
 
 def params(b=2, depth=12, seed=0, cost=1, max_random_cost=None):
     return PvParams(b, depth, seed, cost, max_random_cost)
+
+
+def leaf_sum_oracle(p, path, d):
+    """Sum of the depth-d descendants' values by scalar recursion: one
+    PvCursor per node, Python ints throughout."""
+
+    def rec(cursor, remaining):
+        if remaining == 0:
+            return cursor.value
+        return sum(rec(cursor.child(i), remaining - 1) for i in range(p.branching_factor))
+
+    return rec(PvCursor.walk(p, path), d)
 
 
 class TestPvValue:
@@ -119,8 +138,6 @@ class TestLeafSum:
                 assert leaf_sum_difference(p, d) == 3 * 2**d
 
     def test_randomized_cost_keeps_doubling(self):
-        from critgames.pv_model import level_cost
-
         for seed in range(10):
             p = params(seed=seed, depth=10, max_random_cost=5)
             root_cost = level_cost(p, 0)
@@ -132,6 +149,21 @@ class TestLeafSum:
             pv_leaf_sum(params(depth=30), (), 21)
         with pytest.raises(ValueError):
             pv_leaf_sum(params(depth=5), (), 6)
+
+    @given(
+        b=st.integers(2, 4),
+        d=st.integers(0, 5),
+        seed=st.integers(0, bitmix.MASK64),
+        cost=st.integers(1, 50),
+        max_random_cost=st.none() | st.integers(1, 50),
+        moves=st.lists(st.integers(0, 3), max_size=2),
+        below=st.integers(0, 2),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_oracle(self, b, d, seed, cost, max_random_cost, moves, below):
+        path = tuple(m % b for m in moves)
+        p = params(b, max(1, len(path) + d + below), seed, cost, max_random_cost)
+        assert pv_leaf_sum(p, path, d) == leaf_sum_oracle(p, path, d)
 
     def test_matches_direct_enumeration(self):
         import itertools
@@ -175,21 +207,62 @@ class TestNaivePlan:
         assert correct >= 58
 
     def test_vectorized_walk_matches_cursor(self):
-        # one playout with a pinned index stream must equal the scalar walk
-        p = params(b=3, depth=12, seed=21, cost=2)
-        rng = np.random.default_rng(77)
-        indices = rng.integers(0, 3, size=11)
-        cursor = PvCursor.root(p).child(1)
-        for idx in indices:
-            cursor = cursor.child(int(idx))
+        # one playout with a pinned index stream, stepped as the planner
+        # steps it, must follow the scalar walk node by node
+        for p in (params(b=3, seed=21, cost=2), params(b=3, seed=21, max_random_cost=5)):
+            cursor = PvCursor.root(p).child(1)
+            values = np.full(1, cursor.value, dtype=np.int64)
+            states = np.full(1, cursor.state, dtype=np.uint64)
+            for index in np.random.default_rng(77).integers(0, 3, size=(11, 1)):
+                values = _child_values(p, cursor.depth, values, states, index)
+                states = bitmix.child_state_np(states, index)
+                cursor = cursor.child(int(index[0]))
+                assert (int(values[0]), int(states[0])) == (cursor.value, cursor.state)
 
-        values = np.full(1, PvCursor.root(p).child(1).value, dtype=np.int64)
-        states = np.full(1, PvCursor.root(p).child(1).state, dtype=np.uint64)
-        for depth, idx in enumerate(indices, start=1):
-            designated = bitmix.stream_u64_np(states, bitmix.DESIGNATED_TAG) % np.uint64(3)
-            sign = -1 if depth % 2 == 0 else 1
-            off = np.asarray([idx], dtype=np.int64) != designated.astype(np.int64)
-            values = values + np.where(off, sign * 2, 0)
-            states = bitmix.child_state_np(states, np.asarray([idx]))
-        assert int(values[0]) == cursor.value
-        assert int(states[0]) == cursor.state
+    def test_column_expands_every_child(self):
+        p = params(b=3, depth=6, seed=8, cost=2)
+        nodes = [PvCursor.walk(p, path) for path in ((0, 1), (2, 2), (1, 0))]
+        values = np.asarray([n.value for n in nodes], dtype=np.int64)
+        states = np.asarray([n.state for n in nodes], dtype=np.uint64)
+        column = np.arange(3)[:, None]
+        children = _child_values(p, 2, values, states, column)
+        assert children.tolist() == [[n.child_value(j) for n in nodes] for j in range(3)]
+
+    # pv_naive_plan(PvParams(b, 7, seed, 2, max_random_cost), 3, rng_seed=100 + seed)
+    # for seeds 0..15; three playouts per child leave wrong picks and tied means
+    GOLDEN_PICKS = {
+        (2, None): "1000101101101101",
+        (2, 4): "1001101100011001",
+        (3, None): "1200000011212100",
+        (3, 4): "1000000011202100",
+    }
+
+    @pytest.mark.parametrize("b, max_random_cost", list(GOLDEN_PICKS))
+    def test_golden_picks(self, b, max_random_cost):
+        picks = "".join(
+            str(pv_naive_plan(params(b, 7, seed, 2, max_random_cost), 3, rng_seed=100 + seed))
+            for seed in range(16)
+        )
+        assert picks == self.GOLDEN_PICKS[b, max_random_cost]
+
+
+class TestInt64Bound:
+    @pytest.mark.parametrize("name", ["cost", "max_random_cost"])
+    def test_just_past_the_bound_is_rejected(self, name):
+        for depth, k in ((1, K_DEPTH_LIMIT + 1), (20, K_DEPTH_LIMIT // 20 + 1)):
+            with pytest.raises(ValueError, match=rf"^{name} \* max_depth must be at most"):
+                PvParams(2, depth, 0, **{name: k})
+
+    @pytest.mark.parametrize("name", ["cost", "max_random_cost"])
+    def test_at_the_bound_matches_the_oracle(self, name):
+        edge = PvParams(3, 1, 5, **{name: K_DEPTH_LIMIT})
+        assert pv_leaf_sum(edge, (), 1) == leaf_sum_oracle(edge, (), 1)
+        for seed in range(5):
+            p = PvParams(2, 20, seed, **{name: K_DEPTH_LIMIT // 20})
+            assert pv_leaf_sum(p, (0, 1) * 7, 6) == leaf_sum_oracle(p, (0, 1) * 7, 6)
+            assert leaf_sum_difference(p, 8) == level_cost(p, 0) * 2**8
+
+    def test_planner_is_scale_invariant_at_the_bound(self):
+        for seed in range(10):
+            big = pv_naive_plan(params(depth=20, seed=seed, cost=K_DEPTH_LIMIT // 20), 50, seed)
+            assert big == pv_naive_plan(params(depth=20, seed=seed), 50, seed)
