@@ -44,16 +44,10 @@ from .experiments import (
     theorem_c_bound,
 )
 from .heuristics import parse_heuristic, save_histogram
-from .pv_model import (
-    PvParams,
-    leaf_sum_difference,
-    leaf_sum_distance,
-    pv_naive_plan,
-    pv_optimal_root_child,
-)
+from .pv_model import PvParams, leaf_sum_difference, pv_naive_plan, pv_optimal_root_child
 from .search_minimax import MinimaxConfig, alphabeta
 from .search_uct import UctConfig, uct_search
-from .tree_model import GameParams, density_limits, export_tree, plus_density
+from .tree_model import GameParams, checked_span, density_limits, export_tree, plus_densities
 
 
 class UsageError(Exception):
@@ -322,12 +316,12 @@ def _cmd_density(cfg: dict[str, object]) -> int:
     with _as_usage():
         n = checked_int("n", cfg["n"], 0)
         params = _game_params(cfg, max(n, 1), 0)
-        value = plus_density(params, n)
-    if cfg["table"]:
-        for level in range(n + 1):
-            print(f"{level} {plus_density(params, level):g}")
-    else:
-        print(f"{value:g}")
+        levels = plus_densities(params, n)
+    for level, value in enumerate(levels):
+        if cfg["table"]:
+            print(f"{level} {value:g}")
+        elif level == n:
+            print(f"{value:g}")
     if cfg["limits"]:
         limits = density_limits(params)
         tail = " degenerate" if limits.degenerate else ""
@@ -401,7 +395,7 @@ def _cmd_pv_check(cfg: dict[str, object]) -> int:
     with _as_usage():
         if cfg["b"] != 2:
             raise ValueError("the exact separation check is defined for b = 2")
-        depth_max = leaf_sum_distance(2, cfg["depth_max"], "depth_max")
+        depth_max = checked_span(2, cfg["depth_max"], "depth_max")
         seeds, cost = checked_int("seeds", cfg["seeds"], 1), cfg["cost"]
         pv_params = partial(PvParams, branching_factor=2, cost=cost)
         pv_params(max_depth=depth_max + 1, seed=0)

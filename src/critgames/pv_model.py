@@ -19,7 +19,7 @@ as for the win-loss trees. `_child_values` is the rule's one numpy copy:
 the leaf sums expand whole levels through it and the playout planner
 steps its walks through it. Both hold values in int64, so `PvParams`
 bounds k * max_depth such that every node value, and every sum of up to
-`_ENUM_CAP` of them, fits.
+`tree_model.ENUM_CAP` of them, the most `pv_leaf_sum` will expand, fits.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ import numpy as np
 
 from . import bitmix
 from .bitmix import COST_TAG, DESIGNATED_TAG, MASK64, checked_int
-from .tree_model import NodeCursor
+from .tree_model import ENUM_CAP, NodeCursor, checked_span
 
-_ENUM_CAP = 10**6
 _INT64_MAX = 2**63 - 1
 
 
@@ -55,10 +54,10 @@ class PvParams:
                 object.__setattr__(self, name, checked_int(name, value, low, high))
         name = "cost" if self.max_random_cost is None else "max_random_cost"
         k = getattr(self, name)
-        # a node's value lies within 1 +- k * depth; a leaf sum adds up to _ENUM_CAP of them
-        if (1 + k * self.max_depth) * _ENUM_CAP > _INT64_MAX:
+        # a node's value lies within 1 +- k * depth; a leaf sum adds up to ENUM_CAP of them
+        if (1 + k * self.max_depth) * ENUM_CAP > _INT64_MAX:
             raise ValueError(
-                f"{name} * max_depth must be at most {_INT64_MAX // _ENUM_CAP - 1} "
+                f"{name} * max_depth must be at most {_INT64_MAX // ENUM_CAP - 1} "
                 f"for values to fit in int64, got {k} * {self.max_depth}"
             )
 
@@ -108,19 +107,10 @@ def pv_optimal_root_child(params: PvParams) -> int:
     return PvCursor.root(params).designated_index
 
 
-def leaf_sum_distance(b: int, d: object, name: str = "d") -> int:
-    """`d` as an int >= 0 whose b^d descendants a leaf sum may enumerate."""
-    d = checked_int(name, d, 0)
-    # b >= 2, so every d past the cap's bit length is over the cap
-    if b ** min(d, _ENUM_CAP.bit_length()) > _ENUM_CAP:
-        raise ValueError(f"b^{name} exceeds {_ENUM_CAP}")
-    return d
-
-
 def pv_leaf_sum(params: PvParams, path: Sequence[int], d: int) -> int:
     """Exact sum of values over all depth-d descendants of the node at path,
     expanding each level whole, index-major as in `tree_model`."""
-    d = leaf_sum_distance(params.branching_factor, d)
+    d = checked_span(params.branching_factor, d, "d")
     start = PvCursor.walk(params, path)
     if start.depth + d > params.max_depth:
         raise ValueError("descendants at depth d do not exist")

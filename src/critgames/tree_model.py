@@ -26,14 +26,19 @@ The enumeration lays each level out index-major, child j of every node
 in one contiguous block, and tests flip draws on the raw 64-bit words
 against one integer threshold (`flip_threshold`), which is exact, so its
 per-level counts are those of `node_value` node by node.
+
+Every exact oracle that expands all b^d nodes d plies below a node (the
+export, enumeration, PV leaf sums, reference minimax) first passes d to
+`checked_span`, which refuses b^d > `ENUM_CAP` without computing b^d.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +48,7 @@ from .bitmix import DESIGNATED_TAG, FLIP_TAG, MASK64, checked_int, indexed_u64, 
 PLUS = 1
 MINUS = -1
 
-_ENUM_CAP = 10**6
+ENUM_CAP = 10**6  # the largest b^d that any full expansion may enumerate
 _TILE = 2**15  # children per enumeration tile: 256 KB per uint64 buffer
 _DESIGNATED = np.uint64(DESIGNATED_TAG)
 
@@ -85,6 +90,15 @@ class NodeInfo:
     player: Player
     terminal: bool
     optimal_moves: frozenset[int]
+
+
+def checked_span(b: int, d: object, name: str) -> int:
+    """`d` as an int >= 0 with b^d <= `ENUM_CAP` (b >= 2), else a ValueError naming `name`."""
+    d = checked_int(name, d, 0)
+    # b >= 2, so every d past the cap's bit length is over the cap
+    if b ** min(d, ENUM_CAP.bit_length()) > ENUM_CAP:
+        raise ValueError(f"b^{name} exceeds {ENUM_CAP}")
+    return d
 
 
 def check_path(params: GameParams, path: Sequence[int]) -> tuple[int, ...]:
@@ -200,9 +214,7 @@ def node_meta(params: GameParams, path: Sequence[int]) -> NodeInfo:
     else:
         # moves preserving the node's value; at a choice node that is the
         # mover-favorable value, at a forced node it is every move
-        optimal = frozenset(
-            i for i, v in enumerate(cursor.child_values()) if v == cursor.value
-        )
+        optimal = frozenset(i for i, v in enumerate(cursor.child_values()) if v == cursor.value)
     return NodeInfo(cursor.value, cursor.kind, cursor.player, cursor.terminal, optimal)
 
 
@@ -211,10 +223,15 @@ def density_coefficient(params: GameParams) -> float:
     return 1.0 - g + g / params.branching_factor
 
 
+def plus_densities(params: GameParams, n: int) -> Iterator[float]:
+    """Densities of +1 nodes at depths 0..n, by the level recurrence."""
+    n = checked_int("n", n, 0, params.max_depth)
+    return subtree_plus_densities(params, PLUS, Player.MAX, n)
+
+
 def plus_density(params: GameParams, n: int) -> float:
     """Density of +1 nodes at depth n, by the level recurrence."""
-    n = checked_int("n", n, 0, params.max_depth)
-    return subtree_plus_density(params, PLUS, Player.MAX, n)
+    return deque(plus_densities(params, n), maxlen=1).pop()
 
 
 class DensityLimits(NamedTuple):
@@ -231,34 +248,36 @@ def density_limits(params: GameParams) -> DensityLimits:
     return DensityLimits(1.0 / (1.0 + k), k / (1.0 + k), False)
 
 
-def subtree_plus_density(
+def subtree_plus_densities(
     params: GameParams, value: int, player: Player, remaining: int
-) -> float:
-    """Density of +1 nodes `remaining` plies below a node of the given value/player."""
+) -> Iterator[float]:
+    """Densities of +1 nodes 0..`remaining` plies below a node of the given value/player."""
     if value not in (PLUS, MINUS):
         raise ValueError("value must be +1 or -1")
     remaining = checked_int("remaining", remaining, 0, params.max_depth)
     k = density_coefficient(params)
     f = 1.0 if value == PLUS else 0.0
+    yield f
     on_move = player
     for _ in range(remaining):
         f = f * k if on_move is Player.MAX else f * k + 1.0 - k
         on_move = Player.MIN if on_move is Player.MAX else Player.MAX
-    return f
+        yield f
+
+
+def subtree_plus_density(params: GameParams, value: int, player: Player, remaining: int) -> float:
+    """Density of +1 nodes `remaining` plies below a node of the given value/player."""
+    return deque(subtree_plus_densities(params, value, player, remaining), maxlen=1).pop()
 
 
 def export_tree(params: GameParams, depth_cap: int) -> str:
     """Graph description of the instance down to depth_cap, digraph text."""
     depth_cap = min(checked_int("depth_cap", depth_cap, 0), params.max_depth)
-    if params.branching_factor**depth_cap > _ENUM_CAP:
-        raise ValueError(f"b^depth_cap exceeds {_ENUM_CAP}")
+    checked_span(params.branching_factor, depth_cap, "depth_cap")
     lines = ["digraph {"]
 
-    def label(value: int) -> str:
-        return "+1" if value == PLUS else "-1"
-
     def emit(cursor: NodeCursor, name: str) -> None:
-        lines.append(f'  "{name}" [label="{label(cursor.value)}"]')
+        lines.append(f'  "{name}" [label="{cursor.value:+d}"]')
         if cursor.depth >= depth_cap or cursor.terminal:
             return
         for i in range(params.branching_factor):
@@ -294,11 +313,10 @@ def mean_plus_fractions(
     one instance per block). The default bounds each block's uint64 state
     arrays to a few MB; blocks of hundreds of MB thrash the cache.
     """
-    b, depth = checked_int("b", b, 2), checked_int("depth", depth, 0)
+    b = checked_int("b", b, 2)
+    depth = checked_span(b, depth, "depth")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    if b**depth > _ENUM_CAP:
-        raise ValueError(f"b^depth = {b**depth} exceeds {_ENUM_CAP}")
     seed_array = np.asarray([checked_int("seeds", s, 0, MASK64) for s in seeds], dtype=np.uint64)
     if seed_array.size == 0:
         raise ValueError("at least one seed required")

@@ -221,6 +221,9 @@ class TestConfigResolution:
              "b^depth_max exceeds"),
             (("pv-check", "--cost", str(2**62), "--pv-depth", "20", "--depth-max", "3"),
              "cost * max_depth must be at most"),
+            (("pv-check", "--depth-max", "1000000000"), "b^depth_max exceeds 1000000"),
+            (("gen-tree", "--b", "3", "--max-depth", "100000000", "--depth-cap", "100000000"),
+             "b^depth_cap exceeds 1000000"),
         ],
     )
     def test_bad_count_is_usage_error(self, capsys, tmp_path, args, message):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from critgames import bitmix
+from critgames.heuristics import parse_heuristic
+from critgames.pv_model import PvParams, pv_leaf_sum
+from critgames.search_minimax import MinimaxConfig, minimax_reference
 from critgames.tree_model import (
+    ENUM_CAP,
     MINUS,
     PLUS,
     DensityLimits,
@@ -16,6 +21,7 @@ from critgames.tree_model import (
     Kind,
     NodeCursor,
     Player,
+    checked_span,
     density_limits,
     designated_child,
     export_tree,
@@ -24,8 +30,10 @@ from critgames.tree_model import (
     mean_plus_fractions,
     node_meta,
     node_value,
+    plus_densities,
     plus_density,
     plus_fractions,
+    subtree_plus_densities,
     subtree_plus_density,
     walk,
 )
@@ -231,6 +239,15 @@ class TestPlusDensity:
                 for n in range(31):
                     assert plus_density(p, n) == level_loop(p, n), (b, gamma, n)
 
+    def test_levels_are_the_values_level_by_level(self):
+        # one run of the recurrence gives every level, bit for bit
+        for b, gamma in ((2, 1.0), (3, 0.5), (10, 0.9)):
+            p = params(b=b, gamma=gamma, depth=40)
+            assert list(plus_densities(p, 40)) == [plus_density(p, n) for n in range(41)]
+        assert list(plus_densities(params(), 0)) == [1.0]
+        with pytest.raises(ValueError, match="^n must"):
+            plus_densities(params(depth=5), 6)
+
     def test_matches_enumeration_small(self):
         for gamma, b in [(0.5, 2), (0.9, 3), (1.0, 2)]:
             profile = mean_plus_fractions(b, gamma, 8, range(400))
@@ -304,6 +321,14 @@ class TestSubtreePlusDensity:
     def test_invalid_value_rejected(self):
         with pytest.raises(ValueError):
             subtree_plus_density(params(), 0, Player.MAX, 1)
+
+    def test_levels_end_at_the_density(self):
+        p = GameParams(3, 0.7, 12, 0)
+        for value, player in itertools.product((PLUS, MINUS), Player):
+            levels = list(subtree_plus_densities(p, value, player, 12))
+            assert len(levels) == 13
+            for n, f in enumerate(levels):
+                assert f == subtree_plus_density(p, value, player, n)
 
 
 class TestExportTree:
@@ -468,7 +493,7 @@ class TestEnumerationOracle:
             (2, 1.5, 4, r"^gamma must"),
             (2, math.nan, 4, r"^gamma must"),
             (2, 0.5, -1, r"^depth must"),
-            (2, 0.5, 20, r"^b\^depth = 1048576 exceeds"),
+            (2, 0.5, 20, r"^b\^depth exceeds 1000000$"),
         ],
     )
     def test_bad_arguments_rejected(self, b, gamma, depth, message):
@@ -480,6 +505,59 @@ class TestEnumerationOracle:
         # levels past 2^15 children run in several tiles, partial ones included
         profile = mean_plus_fractions(b, gamma, 12, range(20))
         assert [x.hex() for x in profile.tolist()] == list(GOLDEN_PROFILES[b, gamma])
+
+
+class TestCheckedSpan:
+    @pytest.mark.parametrize(
+        "b, d",
+        [(2, 0), (2, 19), (10, 6), (1000, 2), (ENUM_CAP, 1), (ENUM_CAP + 1, 0), (3, np.int64(12))],
+    )
+    def test_within_cap(self, b, d):
+        assert checked_span(b, d, "d") == d
+        assert type(checked_span(b, d, "d")) is int
+
+    @pytest.mark.parametrize(
+        "b, d", [(2, 20), (10, 7), (1001, 2), (ENUM_CAP + 1, 1), (3, 13), (2, 10**7)]
+    )
+    def test_over_cap(self, b, d):
+        with pytest.raises(ValueError, match=r"^b\^span exceeds 1000000$"):
+            checked_span(b, d, "span")
+
+    @pytest.mark.parametrize("d", [-1, 2.5, "3", None])
+    def test_not_a_count(self, d):
+        with pytest.raises(ValueError, match="^span must be an integer >= 0"):
+            checked_span(2, d, "span")
+
+
+# b = 3, d = 10^7: b^d has millions of digits, so a check that computed it
+# first would take seconds, or fail on the digit limit of int-to-str
+SPAN = 10**7
+
+
+@pytest.mark.parametrize(
+    "name, run",
+    [
+        pytest.param(
+            "depth_cap", lambda: export_tree(GameParams(3, 0.5, SPAN, 0), SPAN), id="export_tree"
+        ),
+        pytest.param(
+            "depth", lambda: mean_plus_fractions(3, 0.5, SPAN, [0]), id="mean_plus_fractions"
+        ),
+        pytest.param("d", lambda: pv_leaf_sum(PvParams(3, SPAN, 0), (), SPAN), id="pv_leaf_sum"),
+        pytest.param(
+            "depth",
+            lambda: minimax_reference(
+                GameParams(3, 0.5, SPAN, 0), (), MinimaxConfig(SPAN, parse_heuristic("perfect"), 0)
+            ),
+            id="minimax_reference",
+        ),
+    ],
+)
+def test_full_expansions_share_the_cap(name, run):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^b\^{name} exceeds 1000000$"):
+        run()
+    assert time.perf_counter() - start < 1.0  # b^d is never computed
 
 
 # gamma values at which the flip test's rounding shows: none flips, the
