@@ -55,6 +55,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching: every flag has one spelling, and a flag that a
+    # subcommand lacks is an error, never a prefix of another flag
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # argparse exits with 2 on usage problems; the contract here is 1
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -117,10 +122,11 @@ class Opt:
 
 
 GLOBAL_OPTS: dict[str, Opt] = {
-    "seed": Opt(int, 0, "master seed for this run"),
-    "workers": Opt(int, os.cpu_count() or 1, "process count for experiment sweeps"),
     "out_dir": Opt(str, ".", "directory for output files"),
 }
+
+# shared by the subcommands whose handlers read a seed
+SEED = Opt(int, 0, "master seed for this run")
 
 SUB_OPTS: dict[str, dict[str, Opt]] = {
     "gen-tree": {
@@ -128,6 +134,7 @@ SUB_OPTS: dict[str, dict[str, Opt]] = {
         "b": Opt(int, 2, "branching factor"),
         "max_depth": Opt(int, 6, "tree depth"),
         "depth_cap": Opt(int, 6, "deepest level exported"),
+        "seed": SEED,
     },
     "density": {
         "gamma": Opt(float, 1.0, "critical rate"),
@@ -146,8 +153,9 @@ SUB_OPTS: dict[str, dict[str, Opt]] = {
         "budget": Opt(int, 1000, "iteration budget (uct)"),
         "checkpoints": Opt(_ints, (), "comma-separated decision checkpoints (uct)"),
         "depth": Opt(int, 4, "lookahead depth (alphabeta)"),
-        "path": Opt(_ints, (), "start node as comma-separated child indices"),
+        "path": Opt(_ints, (), "start node as comma-separated child indices (alphabeta)"),
         "trace": Opt(str, "", "file for the per-iteration path and reward (uct)"),
+        "seed": SEED,
     },
     "experiment": {
         "gammas": Opt(_floats, GridSpec.gammas, "critical rates"),
@@ -158,6 +166,8 @@ SUB_OPTS: dict[str, dict[str, Opt]] = {
         "max_depth": Opt(int, GridSpec.max_depth, "tree depth"),
         "trees": Opt(int, GridSpec.trees, "instances per cell"),
         "algo": Opt(str, GridSpec.algorithm, "uct or alphabeta"),
+        "seed": SEED,
+        "workers": Opt(int, os.cpu_count() or 1, "process count for experiment sweeps"),
     },
     "pv-check": {
         "b": Opt(int, 2, "branching factor"),
@@ -175,6 +185,7 @@ SUB_OPTS: dict[str, dict[str, Opt]] = {
         "branchings": Opt(_ints, (2, 3), "branching factors for --verify"),
         "trees": Opt(int, 100, "instances per branching for --verify"),
         "max_depth": Opt(int, 50, "tree depth for --verify"),
+        "seed": SEED,
     },
     "probe": {
         "engine": Opt(str, "", "engine command line; empty runs the bundled mock"),
@@ -193,6 +204,7 @@ SUB_OPTS: dict[str, dict[str, Opt]] = {
                         switch=True),
         "options": Opt(_pairs, ProbeConfig.options,
                        "engine option overrides, name=value;name=value"),
+        "seed": SEED,
     },
 }
 
@@ -220,13 +232,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_text(path: str | Path, what: str) -> str:
+    """The text of a file named by a flag; an unreadable file is a usage error."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise UsageError(f"cannot read {what} {path}: {reason}") from exc
+
+
 def load_config(path: str | Path) -> dict[str, str]:
     """Flat key=value lines; blank lines and # comments ignored."""
     values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read configuration file: {exc}") from exc
+    text = _read_text(path, "configuration file")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -329,6 +347,11 @@ def _cmd_density(cfg: dict[str, object]) -> int:
     return 0
 
 
+# the search settings that one algorithm reads; the other must leave them
+# at their defaults, so no flag is silently ignored
+_ALGO_ONLY = {"uct": ("c", "budget", "checkpoints", "trace"), "alphabeta": ("depth", "path")}
+
+
 def _cmd_search(cfg: dict[str, object]) -> int:
     """Run one search on one instance and record the result."""
     with _as_usage():
@@ -337,8 +360,10 @@ def _cmd_search(cfg: dict[str, object]) -> int:
         algo = cfg["algo"]
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
-        if cfg["trace"] and algo != "uct":
-            raise ValueError("--trace is for --algo uct only")
+        for owner, keys in _ALGO_ONLY.items():
+            for key in keys:
+                if owner != algo and cfg[key] != SUB_OPTS["search"][key].default:
+                    raise ValueError(f"--{key} is for --algo {owner} only")
     path = _out_dir(cfg) / "search.json"
     if algo == "uct":
         with _as_usage():
@@ -464,14 +489,15 @@ def _cmd_probe(cfg: dict[str, object]) -> int:
             use_perft=not cfg["no_perft"], timeout=cfg["timeout"],
             options=tuple(cfg["options"]),
         )
-    if cfg["engine"]:
-        argv = shlex.split(str(cfg["engine"]))
-    else:
-        scenario = str(cfg["scenario"]) or _data_file("mock_scenario.json")
-        argv = [sys.executable, "-m", "critgames.engine.mock_engine", scenario]
-    fens_path = str(cfg["fens"]) or _data_file("probe_fens.txt")
+        if cfg["engine"]:
+            argv = shlex.split(str(cfg["engine"]))
+        else:
+            scenario = str(cfg["scenario"]) or _data_file("mock_scenario.json")
+            _read_text(scenario, "scenario file")  # else the mock just closes its pipe
+            argv = [sys.executable, "-m", "critgames.engine.mock_engine", scenario]
+        fens_text = _read_text(str(cfg["fens"]) or _data_file("probe_fens.txt"), "FEN file")
     fens = [
-        line.strip() for line in Path(fens_path).read_text().splitlines()
+        line.strip() for line in fens_text.splitlines()
         if line.strip() and not line.startswith("#")
     ]
 

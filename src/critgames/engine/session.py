@@ -144,9 +144,12 @@ class EvalRecord:
     @property
     def unit_value(self) -> float:
         """Win probability proxy on [0, 1] from the side to move."""
-        if self.kind == "mate":
-            return 1.0 if self.score > 0 else 0.0
-        return 1.0 / (1.0 + 10.0 ** (-self.score / 400.0))
+        if self.kind == "cp":
+            try:
+                return 1.0 / (1.0 + 10.0 ** (-self.score / 400.0))
+            except OverflowError:  # a score beyond float range: the curve's limit
+                pass
+        return 1.0 if self.score > 0 else 0.0
 
 
 def _ranked_moves(slots: dict[int, EvalRecord]) -> tuple[str, ...]:

@@ -67,6 +67,21 @@ class TestDispatchBasics:
         assert code == 1
         assert "unrecognized" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [(sub, "--workers", "5") for sub in
+         ("gen-tree", "density", "search", "pv-check", "theorem", "probe")]
+        + [("density", "--seed", "5"), ("pv-check", "--seed", "5"),
+           # no prefix matching: --gamma is not read as --gammas
+           ("experiment", "--gamma", "1")],
+        ids=" ".join,
+    )
+    def test_flag_the_subcommand_does_not_read_is_rejected(self, capsys, tmp_path, args):
+        code, _, err = run(capsys, *args, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert f"unrecognized arguments: {args[1]}" in err
+        assert not any(tmp_path.iterdir())
+
     def test_bad_flag_value(self, capsys):
         code, _, err = run(capsys, "density", "--gamma", "abc")
         assert code == 1
@@ -117,9 +132,16 @@ class TestConfigResolution:
         assert code == 1
         assert "unknown configuration key" in err
 
+    def test_setting_of_another_subcommand_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 3\n")
+        code, _, err = run(capsys, "density", "--config", str(cfg))
+        assert code == 1
+        assert "unknown configuration key 'seed'" in err
+
     def test_other_subcommand_section_skipped(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("density.n = 3\nexperiment.trees = 2\n")
+        cfg.write_text("density.n = 3\nexperiment.trees = 2\nexperiment.workers = 1\n")
         code, out, _ = run(
             capsys, "density", "--config", str(cfg), "--out-dir", str(tmp_path)
         )
@@ -153,7 +175,14 @@ class TestConfigResolution:
         manifest = (tmp_path / "run_manifest.txt").read_text()
         assert "command = density" in manifest
         assert "n = 4" in manifest
-        assert "seed = 0" in manifest
+        assert "seed" not in manifest and "workers" not in manifest
+
+    def test_manifest_echoes_the_seed_of_a_seeded_subcommand(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "gen-tree", "--seed", "9", "--out-dir", str(tmp_path))
+        assert code == 0
+        manifest = (tmp_path / "run_manifest.txt").read_text()
+        assert "seed = 9" in manifest
+        assert "workers" not in manifest
 
     @pytest.mark.parametrize(
         "args, expected",
@@ -224,9 +253,28 @@ class TestConfigResolution:
             (("pv-check", "--depth-max", "1000000000"), "b^depth_max exceeds 1000000"),
             (("gen-tree", "--b", "3", "--max-depth", "100000000", "--depth-cap", "100000000"),
              "b^depth_cap exceeds 1000000"),
+            # a setting of the other algorithm is refused, not ignored
+            (("search", "--algo", "uct", "--budget", "50", "--path", "0,1"),
+             "--path is for --algo alphabeta only"),
+            (("search", "--depth", "3"), "--depth is for --algo alphabeta only"),
+            (("search", "--algo", "alphabeta", "--c", "0.5"), "--c is for --algo uct only"),
+            (("search", "--algo", "alphabeta", "--budget", "50"),
+             "--budget is for --algo uct only"),
+            (("search", "--algo", "alphabeta", "--checkpoints", "10"),
+             "--checkpoints is for --algo uct only"),
+            # files named by flags, checked before any engine starts
+            (("density", "--config", "{bad}"), "cannot read configuration file {bad}"),
+            (("probe", "--scenario", "{missing}"), "cannot read scenario file {missing}"),
+            (("probe", "--fens", "{missing}"), "cannot read FEN file {missing}"),
+            (("probe", "--fens", "{bad}"), "cannot read FEN file {bad}"),
         ],
     )
-    def test_bad_count_is_usage_error(self, capsys, tmp_path, args, message):
+    def test_bad_count_is_usage_error(self, capsys, tmp_path_factory, tmp_path, args, message):
+        inputs = tmp_path_factory.mktemp("inputs")
+        files = {"bad": inputs / "latin1.txt", "missing": inputs / "missing.txt"}
+        files["bad"].write_bytes("caf\xe9\n".encode("latin-1"))
+        args = [arg.format(**files) for arg in args]
+        message = message.format(**files)
         code, out, err = run(capsys, *args, "--out-dir", str(tmp_path))
         assert code == 1
         assert message in err

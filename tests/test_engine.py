@@ -220,6 +220,16 @@ class TestEvalRecord:
         assert rec.sign == -1
         assert rec.unit_value == pytest.approx(1.0 / 11.0)
 
+    @pytest.mark.parametrize(
+        "score, expected",
+        [(-200_000, 0.0), (200_000, 1.0), (-10**400, 0.0), (10**400, 1.0),
+         # the last score whose curve value is a float keeps that value
+         (-123_301, 1.0 / (1.0 + 10.0 ** (123_301 / 400)))],
+        ids=["-2e5", "2e5", "-1e400", "1e400", "-123301"],
+    )
+    def test_cp_beyond_float_range_saturates(self, score, expected):
+        # an engine may report any integer: the curve's limit, not OverflowError
+        assert EvalRecord(None, "cp", score).unit_value == expected
 
 class TestEvalParsing:
     def probe_session(self, replies, depth=20, multipv=1):

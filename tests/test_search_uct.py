@@ -269,7 +269,7 @@ class TestDecisionQuality:
         for seed in range(200):
             params = make_params(d_max=4, seed=seed)
             optimal = node_meta(params, ()).optimal_moves
-            res = uct_search(params, UctConfig(1.0, 10_000, perfect(), seed=seed))
+            res = uct_search(params, UctConfig(1.0, 1_000, perfect(), seed=seed))
             correct += res.final_action in optimal
         assert correct / 200 >= 0.95
 
