@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .bitmix import checked_int
+from .bitmix import checked_int, read_text
 from .engine import (
     EngineSession,
     LiveTransport,
@@ -35,8 +35,8 @@ from .engine import (
     run_probe,
     save_transcript,
 )
+from .engine.mock_engine import load_scenario
 from .experiments import (
-    ALGORITHMS,
     GridSpec,
     emit_results,
     run_grid,
@@ -232,19 +232,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_text(path: str | Path, what: str) -> str:
-    """The text of a file named by a flag; an unreadable file is a usage error."""
-    try:
-        return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise UsageError(f"cannot read {what} {path}: {reason}") from exc
-
-
 def load_config(path: str | Path) -> dict[str, str]:
     """Flat key=value lines; blank lines and # comments ignored."""
     values: dict[str, str] = {}
-    text = _read_text(path, "configuration file")
+    with _as_usage():
+        text = read_text(path, "configuration file")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -358,7 +350,7 @@ def _cmd_search(cfg: dict[str, object]) -> int:
         params = _game_params(cfg, cfg["max_depth"], cfg["seed"])
         heuristic = parse_heuristic(cfg["heuristic"])
         algo = cfg["algo"]
-        if algo not in ALGORITHMS:
+        if algo not in _ALGO_ONLY:
             raise ValueError(f"unknown algorithm {algo!r}")
         for owner, keys in _ALGO_ONLY.items():
             for key in keys:
@@ -493,9 +485,9 @@ def _cmd_probe(cfg: dict[str, object]) -> int:
             argv = shlex.split(str(cfg["engine"]))
         else:
             scenario = str(cfg["scenario"]) or _data_file("mock_scenario.json")
-            _read_text(scenario, "scenario file")  # else the mock just closes its pipe
+            load_scenario(scenario)  # else the mock just closes its pipe
             argv = [sys.executable, "-m", "critgames.engine.mock_engine", scenario]
-        fens_text = _read_text(str(cfg["fens"]) or _data_file("probe_fens.txt"), "FEN file")
+        fens_text = read_text(str(cfg["fens"]) or _data_file("probe_fens.txt"), "FEN file")
     fens = [
         line.strip() for line in fens_text.splitlines()
         if line.strip() and not line.startswith("#")

@@ -13,6 +13,7 @@ import json
 import sys
 import time
 
+from ..bitmix import read_text
 from .session import DEFAULT_OPTIONS
 
 # the options a probe session sets on every handshake
@@ -124,14 +125,24 @@ class MockEngine:
         _say(f"Nodes searched: {len(moves)}")
 
 
+def load_scenario(path: str) -> dict:
+    """A scenario file's JSON object, else a ValueError naming the file."""
+    text = read_text(path, "scenario file")
+    try:
+        scenario = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"scenario file {path} is not JSON: {exc}") from exc
+    if not isinstance(scenario, dict) or not isinstance(scenario.get("positions"), dict):
+        raise ValueError(f"scenario file {path} has no positions object")
+    return scenario
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
         print("usage: mock_engine scenario.json", file=sys.stderr)
         return 2
-    with open(args[0]) as handle:
-        scenario = json.load(handle)
-    engine = MockEngine(scenario)
+    engine = MockEngine(load_scenario(args[0]))
     for raw in sys.stdin:
         if not engine.handle(raw):
             break

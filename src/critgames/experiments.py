@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields
 from hashlib import blake2b
 from itertools import product
 from pathlib import Path
-from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bitmix
@@ -32,12 +31,37 @@ from .tree_model import GameParams, node_meta
 _TREE_TAG = 0xB5297A4D3F84D5A9
 _SEARCH_TAG = 0x68E31DA4DBB3C2B1
 
-ALGORITHMS = ("uct", "alphabeta")
-
 CSV_HEADER = "gamma,b,c,heuristic,algo,budget,delta,se,pathology_index"
 
-#: decider(params, budgets, tree_seed, search_seed) -> {budget: action}
-Decider = Callable[[GameParams, Sequence[int], int, int], dict[int, int]]
+
+def _build_uct(c: float, budgets: tuple[int, ...], heuristic: HeuristicSpec):
+    UctConfig(c, budgets[-1], heuristic, 0, checkpoints=budgets)
+
+    def decide(params: GameParams, search_seed: int) -> dict[int, int]:
+        cfg = UctConfig(c, budgets[-1], heuristic, search_seed, checkpoints=budgets)
+        return {r.iteration: r.action for r in uct_search(params, cfg).checkpoints}
+
+    return decide
+
+
+def _build_alphabeta(c: float, budgets: tuple[int, ...], heuristic: HeuristicSpec):
+    """One alpha-beta search per tree and depth; c is only a label."""
+    for depth in budgets:
+        MinimaxConfig(depth, heuristic, 0)
+
+    def decide(params: GameParams, search_seed: int) -> dict[int, int]:
+        return {
+            depth: alphabeta(params, (), MinimaxConfig(depth, heuristic, search_seed)).best_action
+            for depth in budgets
+        }
+
+    return decide
+
+
+#: algorithm name -> builder(c, budgets, heuristic), which checks a cell's
+#: settings and returns decide(params, search_seed) -> {budget: action};
+#: decide reads the searches as module attributes each time it runs
+DECIDERS: dict[str, Callable] = {"uct": _build_uct, "alphabeta": _build_alphabeta}
 
 
 @dataclass(frozen=True)
@@ -62,18 +86,14 @@ class GridSpec:
             raise ValueError("budgets must be strictly ascending")
         for name, low, high in (("trees", 1, None), ("master_seed", 0, bitmix.MASK64)):
             object.__setattr__(self, name, bitmix.checked_int(name, getattr(self, name), low, high))
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+        if self.algorithm not in DECIDERS:
+            raise ValueError(f"algorithm must be one of {tuple(DECIDERS)}")
         # every cell's values, checked by the types that own their rules
         for g, b in product(self.gammas, self.branchings):
             GameParams(b, g, self.max_depth, 0)
         for h in map(parse_heuristic, self.heuristics):  # fail fast on typos
-            if self.algorithm == "uct":
-                for c in self.explorations:
-                    UctConfig(c, self.budgets[-1], h, 0, checkpoints=self.budgets)
-            else:
-                for depth in self.budgets:
-                    MinimaxConfig(depth, h, 0)
+            for c in self.explorations:
+                DECIDERS[self.algorithm](c, self.budgets, h)
 
 
 @dataclass(frozen=True)
@@ -115,61 +135,29 @@ def tree_seeds(cell: Cell, master_seed: int, index: int) -> tuple[int, int]:
     )
 
 
-def _decisions(
-    cell: Cell, heuristic: HeuristicSpec, params: GameParams, search_seed: int
-) -> dict[int, int]:
-    if cell.algorithm == "uct":
-        cfg = UctConfig(
-            cell.exploration,
-            cell.budgets[-1],
-            heuristic,
-            search_seed,
-            checkpoints=cell.budgets,
-        )
-        result = uct_search(params, cfg)
-        return {r.iteration: r.action for r in result.checkpoints}
-    out = {}
-    for depth in cell.budgets:
-        res = alphabeta(params, (), MinimaxConfig(depth, heuristic, search_seed))
-        out[depth] = res.best_action
-    return out
-
-
 def cell_trees(
     cell: Cell, master_seed: int, trees: Iterable[int]
-) -> Iterator[tuple[GameParams, frozenset[int], int, int]]:
-    """(params, optimal root moves, tree seed, search seed) for each listed tree."""
+) -> Iterator[tuple[GameParams, frozenset[int], int]]:
+    """(params, optimal root moves, search seed) for each listed tree."""
     for t in trees:
         tree_seed, search_seed = tree_seeds(cell, master_seed, t)
         params = GameParams(cell.branching, cell.gamma, cell.max_depth, tree_seed)
-        yield params, node_meta(params, ()).optimal_moves, tree_seed, search_seed
+        yield params, node_meta(params, ()).optimal_moves, search_seed
 
 
 def run_cell(
-    cell: Cell,
-    master_seed: int,
-    tree_range: range | None = None,
-    decider: Decider | None = None,
+    cell: Cell, master_seed: int, tree_range: range | None = None
 ) -> list[dict[int, bool]]:
     """Per-tree correctness records: one {budget: correct} dict per tree."""
-    records = []
-    heuristic = parse_heuristic(cell.heuristic)
+    decide = DECIDERS[cell.algorithm](
+        cell.exploration, cell.budgets, parse_heuristic(cell.heuristic)
+    )
     trees = tree_range if tree_range is not None else range(cell.trees)
-    for params, optimal, tree_seed, search_seed in cell_trees(cell, master_seed, trees):
-        if decider is None:
-            actions = _decisions(cell, heuristic, params, search_seed)
-        else:
-            actions = decider(params, cell.budgets, tree_seed, search_seed)
+    records = []
+    for params, optimal, search_seed in cell_trees(cell, master_seed, trees):
+        actions = decide(params, search_seed)
         records.append({j: actions[j] in optimal for j in cell.budgets})
     return records
-
-
-def fair_coin_decider(
-    params: GameParams, budgets: Sequence[int], tree_seed: int, search_seed: int
-) -> dict[int, int]:
-    """Uniform random action per budget; wiring check for the statistics."""
-    rng = Random(search_seed)
-    return {j: rng.randrange(params.branching_factor) for j in budgets}
 
 
 @dataclass(frozen=True)
@@ -202,27 +190,24 @@ def pathology_report(cell: Cell, records: list[dict[int, bool]], wall_time: floa
     return CellReport(cell, tuple(deltas), tuple(ses), pathology, m, wall_time)
 
 
-def _run_task(task: tuple[Cell, int, range, Decider | None]) -> tuple[list, float]:
+def _run_task(task: tuple[Cell, int, range]) -> tuple[list, float]:
     """One (cell, tree-slice) task: its records and its measured seconds."""
-    cell, master_seed, trees, decider = task
     t0 = time.perf_counter()
-    records = run_cell(cell, master_seed, trees, decider)
+    records = run_cell(*task)
     return records, time.perf_counter() - t0
 
 
-def run_grid(
-    spec: GridSpec, workers: int = 1, decider: Decider | None = None
-) -> list[CellReport]:
+def run_grid(spec: GridSpec, workers: int = 1) -> list[CellReport]:
     """All cells of the grid, run as (cell, tree-slice) tasks: inline when
-    workers == 1, else over a process pool (a decider must then pickle).
-    Results return in task order, so reports do not depend on the worker
-    count; a cell's wall_time is the measured sum of its slices' times."""
+    workers == 1, else over a process pool. Results return in task order,
+    so reports do not depend on the worker count; a cell's wall_time is
+    the measured sum of its slices' times."""
     workers = bitmix.checked_int("workers", workers, 1)
     grid = cells(spec)
     chunk = max(1, math.ceil(spec.trees / (2 * workers)))
     starts = range(0, spec.trees, chunk)
     tasks = [
-        (cell, spec.master_seed, range(a, min(a + chunk, spec.trees)), decider)
+        (cell, spec.master_seed, range(a, min(a + chunk, spec.trees)))
         for cell in grid
         for a in starts
     ]
@@ -264,7 +249,7 @@ def theorem_runs(
     trees = bitmix.checked_int("trees", trees, 1)
     cell = Cell(1.0, b, c, "perfect", (iterations,), max_depth, trees, "uct")
     heuristic = parse_heuristic("perfect")
-    for params, optimal, _, search_seed in cell_trees(cell, master_seed, range(trees)):
+    for params, optimal, search_seed in cell_trees(cell, master_seed, range(trees)):
         yield params, optimal, uct_search(params, UctConfig(c, iterations, heuristic, search_seed))
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .bitmix import draw_word, mix64, unit
+from .bitmix import draw_word, mix64, read_text, unit
 from .tree_model import PLUS, GameParams, Player, player_at, subtree_plus_density
 
 KINDS = ("perfect", "gaussian", "histogram", "playout-l1", "playout-linf")
@@ -249,7 +249,7 @@ def load_histogram(path: str | Path, label: str | None = None) -> HistogramPdf:
     """Parse a histogram file: bins=<B>, plus=<B reals>, minus=<B reals>."""
     path = Path(path)
     fields: dict[str, str] = {}
-    for raw in path.read_text().splitlines():
+    for raw in read_text(path, "histogram file").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

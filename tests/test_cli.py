@@ -267,12 +267,21 @@ class TestConfigResolution:
             (("probe", "--scenario", "{missing}"), "cannot read scenario file {missing}"),
             (("probe", "--fens", "{missing}"), "cannot read FEN file {missing}"),
             (("probe", "--fens", "{bad}"), "cannot read FEN file {bad}"),
+            (("probe", "--scenario", "{notjson}"), "scenario file {notjson} is not JSON"),
+            (("probe", "--scenario", "{nopositions}"),
+             "scenario file {nopositions} has no positions object"),
+            (("search", "--heuristic", "histogram:{bad}"), "cannot read histogram file {bad}"),
+            (("experiment", "--heuristics", "histogram:{bad}", "--trees", "1"),
+             "cannot read histogram file {bad}"),
         ],
     )
     def test_bad_count_is_usage_error(self, capsys, tmp_path_factory, tmp_path, args, message):
         inputs = tmp_path_factory.mktemp("inputs")
-        files = {"bad": inputs / "latin1.txt", "missing": inputs / "missing.txt"}
+        files = {"bad": inputs / "latin1.txt", "missing": inputs / "missing.txt",
+                 "notjson": inputs / "notjson.json", "nopositions": inputs / "nopositions.json"}
         files["bad"].write_bytes("caf\xe9\n".encode("latin-1"))
+        files["notjson"].write_text('{"positions": ')
+        files["nopositions"].write_text('{"x": 1}')
         args = [arg.format(**files) for arg in args]
         message = message.format(**files)
         code, out, err = run(capsys, *args, "--out-dir", str(tmp_path))

@@ -25,6 +25,7 @@ from critgames.engine import (
 )
 from critgames.engine import session as session_module
 from critgames.engine import transport as transport_module
+from critgames.engine.mock_engine import load_scenario
 from critgames.engine.mock_engine import main as mock_main
 from critgames.heuristics import load_histogram, save_histogram
 
@@ -144,6 +145,21 @@ class TestMockEngineScript:
     def test_usage_error(self, capsys):
         assert mock_main([]) == 2
         assert "usage" in capsys.readouterr().err
+
+    def test_bundled_scenario_loads(self):
+        assert load_scenario(data_path("mock_scenario.json"))["positions"]
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [('{"positions": ', "is not JSON"), ('{"x": 1}', "has no positions object"),
+         ('{"positions": []}', "has no positions object"), ("[1]", "has no positions object")],
+    )
+    def test_bad_scenario_raises_naming_the_file(self, tmp_path, body, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=message) as raised:
+            mock_main([str(path)])  # raises before reading stdin
+        assert str(path) in str(raised.value)
 
 
 class TestConfigAndPosition:

@@ -1,18 +1,21 @@
 """Grid machinery tests: seed derivation, statistics, emission formats."""
 
 import math
+import re
+from random import Random
 
 import pytest
 
+from critgames import experiments
 from critgames.experiments import (
     CSV_HEADER,
+    DECIDERS,
     Cell,
     GridSpec,
     cell_key,
     cells,
     csv_lines,
     emit_results,
-    fair_coin_decider,
     manifest_lines,
     pathology_report,
     run_cell,
@@ -56,7 +59,7 @@ class TestGridSpec:
             tiny_spec(gammas=())
         with pytest.raises(ValueError):
             tiny_spec(trees=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("one of ('uct', 'alphabeta')")):
             tiny_spec(algorithm="dfs")
         with pytest.raises(ValueError):
             tiny_spec(heuristics=("no-such-kind",))
@@ -159,14 +162,57 @@ class TestPathologyReport:
         assert report.standard_errors[0] == pytest.approx(math.sqrt(0.75 * 0.25 / 4))
 
 
+def fair_coin(c, budgets, heuristic):
+    """A DECIDERS builder drawing a uniform random action per budget."""
+
+    def decide(params, search_seed):
+        rng = Random(search_seed)
+        return {j: rng.randrange(params.branching_factor) for j in budgets}
+
+    return decide
+
+
+def counting(name, search, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return search(*args, **kwargs)
+
+    return wrapper
+
+
 class TestStatisticalWiring:
-    def test_fair_coin_stub_near_chance(self):
+    def test_fair_coin_stub_near_chance(self, monkeypatch):
+        # under "uct" the coin sees the trees and search seeds of UCT's cells
+        monkeypatch.setitem(DECIDERS, "uct", fair_coin)
         for b in (2, 5):
             spec = tiny_spec(branchings=(b,), trees=400, budgets=(10, 100))
-            report = run_grid(spec, decider=fair_coin_decider)[0]
+            report = run_grid(spec)[0]
             for delta in report.deltas:
                 se = math.sqrt((1 / b) * (1 - 1 / b) / 400)
                 assert abs(delta - 1 / b) <= 3 * se
+        # a new name needs only its entry in the table
+        monkeypatch.setitem(DECIDERS, "coin", fair_coin)
+        assert GridSpec(algorithm="coin").algorithm == "coin"
+        assert csv_lines(run_grid(tiny_spec(algorithm="coin")))[1].split(",")[4] == "coin"
+
+
+class TestDeciders:
+    def test_searches_looked_up_when_trees_run(self, monkeypatch):
+        """Wrappers installed after import see every search: one per tree
+        for UCT, one per tree and depth for alpha-beta, and the CSV holds."""
+        for algorithm, budgets, per_tree in (("uct", (5, 20), 1), ("alphabeta", (1, 2, 3), 3)):
+            spec = tiny_spec(
+                trees=6, budgets=budgets, max_depth=6, algorithm=algorithm, branchings=(2, 3)
+            )
+            plain = csv_lines(run_grid(spec, workers=1))
+            calls = []
+            with monkeypatch.context() as patch:
+                for name in ("uct_search", "alphabeta"):
+                    patch.setattr(experiments, name, counting(name, getattr(experiments, name), calls))
+                counted = csv_lines(run_grid(spec, workers=1))
+            search = "uct_search" if algorithm == "uct" else "alphabeta"
+            assert calls == [search] * (len(cells(spec)) * spec.trees * per_tree)
+            assert counted == plain
 
 
 class TestDeterminism:
@@ -196,12 +242,6 @@ class TestDeterminism:
             inline = "\n".join(csv_lines(run_grid(spec, workers=1)))
             for workers in (2, 3):
                 assert "\n".join(csv_lines(run_grid(spec, workers=workers))) == inline
-
-    def test_decider_reports_independent_of_workers(self):
-        spec = tiny_spec(trees=9, budgets=(1, 2), branchings=(2, 3))
-        inline = run_grid(spec, workers=1, decider=fair_coin_decider)
-        pooled = run_grid(spec, workers=2, decider=fair_coin_decider)
-        assert csv_lines(inline) == csv_lines(pooled)
 
     def test_wall_time_is_measured_per_cell(self):
         spec = tiny_spec(trees=4, budgets=(5, 20), gammas=(0.5, 1.0), branchings=(2, 3))

@@ -250,7 +250,7 @@ class TestFileFormat:
             load_histogram(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(OSError):
+        with pytest.raises(ValueError, match="cannot read histogram file .*absent.hist"):
             load_histogram(tmp_path / "absent.hist")
 
 
