@@ -339,8 +339,16 @@ def _cmd_density(cfg: dict[str, object]) -> int:
     return 0
 
 
-# the search settings that one algorithm reads; the other must leave them
-# at their defaults, so no flag is silently ignored
+def _refuse_unread(subcommand: str, cfg: dict[str, object], keys: Sequence[str],
+                   reason: str) -> None:
+    """Settings this run does not read must stay at their defaults, so no
+    flag is silently ignored and no manifest records one."""
+    for key in keys:
+        if cfg[key] != SUB_OPTS[subcommand][key].default:
+            raise UsageError(f"--{key.replace('_', '-')} {reason}")
+
+
+# the search settings that one algorithm reads
 _ALGO_ONLY = {"uct": ("c", "budget", "checkpoints", "trace"), "alphabeta": ("depth", "path")}
 
 
@@ -353,9 +361,8 @@ def _cmd_search(cfg: dict[str, object]) -> int:
         if algo not in _ALGO_ONLY:
             raise ValueError(f"unknown algorithm {algo!r}")
         for owner, keys in _ALGO_ONLY.items():
-            for key in keys:
-                if owner != algo and cfg[key] != SUB_OPTS["search"][key].default:
-                    raise ValueError(f"--{key} is for --algo {owner} only")
+            if owner != algo:
+                _refuse_unread("search", cfg, keys, f"is for --algo {owner} only")
     path = _out_dir(cfg) / "search.json"
     if algo == "uct":
         with _as_usage():
@@ -440,6 +447,11 @@ def _cmd_pv_check(cfg: dict[str, object]) -> int:
 
 def _cmd_theorem(cfg: dict[str, object]) -> int:
     """Print the exploration bound; optionally verify breadth-first growth."""
+    if not cfg["verify"]:
+        _refuse_unread("theorem", cfg, ("branchings", "trees", "max_depth", "seed"),
+                       "is for --verify only")
+        if cfg["table"]:
+            _refuse_unread("theorem", cfg, ("N",), "is not read with --table unless --verify")
     with _as_usage():
         if cfg["table"]:
             for count in cfg["table"]:
@@ -482,6 +494,7 @@ def _cmd_probe(cfg: dict[str, object]) -> int:
             options=tuple(cfg["options"]),
         )
         if cfg["engine"]:
+            _refuse_unread("probe", cfg, ("scenario",), "is for the bundled mock, not --engine")
             argv = shlex.split(str(cfg["engine"]))
         else:
             scenario = str(cfg["scenario"]) or _data_file("mock_scenario.json")

@@ -109,6 +109,8 @@ class ProbeConfig:
             object.__setattr__(self, name, checked_int(name, getattr(self, name), low))
         if self.mode not in ("light", "heavy"):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
+        # the longest wait the host's timed waits take; the select that
+        # LiveTransport waits in accepts it, and overflows at 1e10 s
         if not 0 < self.timeout <= TIMEOUT_MAX:  # NaN fails too
             raise ValueError(f"timeout must lie in (0, {TIMEOUT_MAX:g}], got {self.timeout!r}")
 

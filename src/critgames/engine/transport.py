@@ -1,23 +1,26 @@
 """Line transports for talking to a UCI engine.
 
 LiveTransport drives a real engine subprocess through its standard
-streams, with a reader thread so receives can time out. ReplayTransport
-walks a recorded transcript instead and fails loudly on the first
-deviation, which is what pins the protocol tests to the golden file.
+streams, UTF-8 both ways whatever the host's locale. A receive waits on
+the engine's stdout with `select`, so each line has a deadline without a
+second thread; `select` on pipes makes this transport POSIX only.
+ReplayTransport walks a recorded transcript instead and fails loudly on
+the first deviation, which is what pins the protocol tests to the golden
+file.
 """
 
 from __future__ import annotations
 
-import queue
+import os
+import select
 import subprocess
-import threading
-from itertools import chain
+import time
 from pathlib import Path
 from typing import Sequence
 
-# Lines the reader thread holds for the session; past this it waits, so an
-# engine that prints faster than the session reads fills its pipe, not memory.
-MAX_QUEUED_LINES = 10_000
+# Bytes taken from the engine's pipe per read. Unread output waits in the
+# pipe, so the transport holds at most one chunk past the line it returns.
+READ_CHUNK = 65_536
 
 
 class EngineTimeout(Exception):
@@ -38,47 +41,42 @@ class LiveTransport:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                text=True,
-                bufsize=1,
             )
         except OSError as exc:
             raise OSError(f"cannot start engine {argv[0]!r}: {exc}") from exc
-        self._lines: queue.Queue[str | None] = queue.Queue(MAX_QUEUED_LINES)
-        self._closed = threading.Event()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
-
-    def _pump(self) -> None:
-        assert self._proc.stdout is not None
-        lines = (line.rstrip("\n") for line in self._proc.stdout)
-        for item in chain(lines, [None]):  # None marks EOF
-            while True:
-                try:
-                    self._lines.put(item, timeout=0.05)
-                    break
-                except queue.Full:
-                    if self._closed.is_set():  # nobody will read it
-                        return
+        self._fd = self._proc.stdout.fileno()
+        self._buffer = bytearray()
+        self._eof = False
 
     def send(self, line: str) -> None:
         assert self._proc.stdin is not None
         try:
-            self._proc.stdin.write(line + "\n")
+            self._proc.stdin.write((line + "\n").encode())
             self._proc.stdin.flush()
         except (BrokenPipeError, ValueError) as exc:
             raise ReplayMismatch(f"engine pipe closed while sending {line!r}") from exc
 
     def recv(self, timeout: float | None = None) -> str:
+        deadline = time.monotonic() + (self.timeout if timeout is None else timeout)
+        while (end := self._buffer.find(b"\n")) < 0 and not self._eof:
+            left = deadline - time.monotonic()
+            if left <= 0 or not select.select([self._fd], [], [], left)[0]:
+                raise EngineTimeout("engine silent past the timeout")
+            chunk = os.read(self._fd, READ_CHUNK)
+            self._buffer += chunk
+            self._eof = not chunk
+        if end < 0:  # a last line without a newline still counts
+            if not self._buffer:
+                raise EngineTimeout("engine closed its output stream")
+            end = len(self._buffer)
+        raw = bytes(self._buffer[:end])
+        del self._buffer[: end + 1]
         try:
-            line = self._lines.get(timeout=self.timeout if timeout is None else timeout)
-        except queue.Empty:
-            raise EngineTimeout("engine silent past the timeout") from None
-        if line is None:
-            raise EngineTimeout("engine closed its output stream")
-        return line
+            return raw.removesuffix(b"\r").decode()
+        except UnicodeDecodeError:
+            raise ValueError(f"engine sent a line that is not UTF-8: {raw[:40]!r}") from None
 
     def close(self) -> None:
-        self._closed.set()
         if self._proc.poll() is None:
             try:
                 self.send("quit")
@@ -89,9 +87,9 @@ class LiveTransport:
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
-        if self._proc.stdin:
-            self._proc.stdin.close()
-        self._reader.join(timeout=1.0)
+        for stream in (self._proc.stdin, self._proc.stdout):
+            if stream:
+                stream.close()
 
 
 class ReplayTransport:

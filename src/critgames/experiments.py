@@ -227,7 +227,10 @@ def run_grid(spec: GridSpec, workers: int = 1) -> list[CellReport]:
 def theorem_c_bound(iterations: int) -> float:
     """Exploration constant forcing breadth-first behavior at budget N."""
     iterations = bitmix.checked_int("iterations", iterations, 2)
-    return math.sqrt(iterations**3 / (2.0 * math.log(iterations)))
+    try:
+        return math.sqrt(iterations**3 / (2.0 * math.log(iterations)))
+    except OverflowError:
+        raise ValueError("iterations is too large: the bound overflows a float") from None
 
 
 @dataclass(frozen=True)

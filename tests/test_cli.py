@@ -273,6 +273,7 @@ class TestConfigResolution:
             (("search", "--heuristic", "histogram:{bad}"), "cannot read histogram file {bad}"),
             (("experiment", "--heuristics", "histogram:{bad}", "--trees", "1"),
              "cannot read histogram file {bad}"),
+            (("theorem", "--N", "1" + "0" * 400), "iterations is too large"),
         ],
     )
     def test_bad_count_is_usage_error(self, capsys, tmp_path_factory, tmp_path, args, message):
@@ -289,6 +290,26 @@ class TestConfigResolution:
         assert message in err
         assert "separation" not in out and "b=2" not in out  # nothing ran
         assert not any(tmp_path.iterdir())  # no results.csv, search.json or manifest
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("theorem", "--N", "512", "--trees", "7"), "--trees is for --verify only"),
+            (("theorem", "--branchings", "9"), "--branchings is for --verify only"),
+            (("theorem", "--max-depth", "3"), "--max-depth is for --verify only"),
+            (("theorem", "--seed", "3"), "--seed is for --verify only"),
+            (("theorem", "--table", "10,100", "--N", "7"),
+             "--N is not read with --table unless --verify"),
+            (("probe", "--engine", "true", "--scenario", "/nonexistent/file.json"),
+             "--scenario is for the bundled mock, not --engine"),
+        ],
+    )
+    def test_unread_setting_is_refused(self, capsys, tmp_path, args, message):
+        code, out, err = run(capsys, *args, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert message in err
+        assert out == ""
+        assert not any(tmp_path.iterdir())
 
 
 class TestDeterminism:

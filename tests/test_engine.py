@@ -1,8 +1,10 @@
 """Tests for the UCI probe stack against the scripted mock engine."""
 
 import sys
+import threading
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from scipy import stats
@@ -24,7 +26,6 @@ from critgames.engine import (
     save_transcript,
 )
 from critgames.engine import session as session_module
-from critgames.engine import transport as transport_module
 from critgames.engine.mock_engine import load_scenario
 from critgames.engine.mock_engine import main as mock_main
 from critgames.heuristics import load_histogram, save_histogram
@@ -58,6 +59,13 @@ def live_transport(timeout=10.0):
 
 def live_session(cfg):
     return EngineSession(live_transport(), cfg)
+
+
+def scripted_transport(payload, linger=10.0):
+    """An engine that writes `payload` raw, then stays up for `linger` s."""
+    script = (f"import sys, time; sys.stdout.buffer.write({payload!r}); "
+              f"sys.stdout.flush(); time.sleep({linger})")
+    return LiveTransport([sys.executable, "-c", script])
 
 
 class TestTransports:
@@ -116,29 +124,55 @@ class TestTransports:
     def test_live_eof_after_quit(self):
         transport = live_transport()
         transport.send("quit")
-        with pytest.raises(EngineTimeout):
-            while True:
-                transport.recv(timeout=2.0)
+        try:
+            with pytest.raises(EngineTimeout):
+                while True:
+                    transport.recv(timeout=2.0)
+        finally:
+            transport.close()
 
     def test_missing_binary(self):
         with pytest.raises(OSError):
             LiveTransport(["/nonexistent/engine/binary"])
 
-    def test_queue_bounded_against_endless_printer(self):
+    def test_endless_printer_buffers_one_chunk(self):
         transport = LiveTransport([sys.executable, "-c", "while True: print('y')"])
         try:
-            deadline = time.monotonic() + 1.0
-            peak = 0
-            while time.monotonic() < deadline:
-                peak = max(peak, transport._lines.qsize())
-                time.sleep(0.01)
-            assert 0 < peak <= transport_module.MAX_QUEUED_LINES
+            for _ in range(1000):
+                assert transport.recv(timeout=5.0) == "y"
+                assert len(transport._buffer) <= 64 * 1024
         finally:
             start = time.monotonic()
             transport.close()
             elapsed = time.monotonic() - start
         assert elapsed < 1.5
-        assert not transport._reader.is_alive()
+        assert transport._proc.returncode is not None
+
+    def test_crlf_lines_and_last_line_without_newline_precede_eof(self):
+        transport = scripted_transport(b"readyok\r\nuciok\ntail", linger=0.0)
+        try:
+            assert [transport.recv(timeout=5.0) for _ in range(3)] == ["readyok", "uciok", "tail"]
+            with pytest.raises(EngineTimeout, match="engine closed its output stream"):
+                transport.recv(timeout=5.0)
+        finally:
+            transport.close()
+
+    def test_non_utf8_line_fails_at_once(self):
+        transport = scripted_transport(b"id name Caf\xe9\n")
+        try:
+            start = time.monotonic()
+            with pytest.raises(ValueError, match=r"not UTF-8: b'id name Caf\\xe9'"):
+                transport.recv(timeout=5.0)
+            assert time.monotonic() - start < 1.0
+        finally:
+            transport.close()
+
+    def test_longest_timeout_still_returns_a_waiting_line(self):
+        transport = scripted_transport(b"readyok\n")
+        try:
+            assert transport.recv(timeout=threading.TIMEOUT_MAX) == "readyok"
+        finally:
+            transport.close()
 
 
 class TestMockEngineScript:
@@ -557,8 +591,15 @@ class TestGoldenRun:
             run_probe(session, PROBE_FENS)
             save_transcript(session.transcript, tmp_path / "fresh.txt")
         fresh = (tmp_path / "fresh.txt").read_bytes()
-        golden = open(data_path("golden_transcript.txt"), "rb").read()
+        golden = Path(data_path("golden_transcript.txt")).read_bytes()
         assert fresh == golden
+
+    def test_live_run_starts_no_thread(self):
+        threads = threading.active_count()
+        with EngineSession(live_transport(), GOLDEN_CFG) as session:
+            run_probe(session, PROBE_FENS)
+            assert threading.active_count() == threads
+        assert threading.active_count() == threads
 
     def test_replay_run_matches_expected_outputs(self):
         replay = ReplayTransport(load_transcript(data_path("golden_transcript.txt")))
