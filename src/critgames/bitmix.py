@@ -160,6 +160,11 @@ def mix64_np(x: np.ndarray) -> np.ndarray:
     return mix64_inplace(x.astype(np.uint64, copy=True))
 
 
+def unit_np(h: np.ndarray) -> np.ndarray:
+    """`unit` on a uint64 array, exactly: h >> 11 fits a double's mantissa."""
+    return (h >> np.uint64(11)).astype(np.float64) * _INV53
+
+
 def root_state_np(seeds: np.ndarray) -> np.ndarray:
     return mix64_inplace(seeds.astype(np.uint64) ^ _NP_GOLDEN)
 

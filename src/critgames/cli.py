@@ -452,19 +452,19 @@ def _cmd_theorem(cfg: dict[str, object]) -> int:
                        "is for --verify only")
         if cfg["table"]:
             _refuse_unread("theorem", cfg, ("N",), "is not read with --table unless --verify")
+    # every setting is checked, and the verification run, before anything prints
     with _as_usage():
-        if cfg["table"]:
-            for count in cfg["table"]:
-                print(f"{count} {theorem_c_bound(count):.6f}")
-        else:
-            print(f"{theorem_c_bound(cfg['N']):.6f}")
+        counts = cfg["table"] or (cfg["N"],)
+        bounds = [theorem_c_bound(count) for count in counts]
+        if cfg["verify"]:
+            reports = run_theorem_experiment(
+                iterations=cfg["N"], branchings=cfg["branchings"], trees=cfg["trees"],
+                max_depth=cfg["max_depth"], master_seed=cfg["seed"],
+            )
+    for count, bound in zip(counts, bounds):
+        print(f"{count} {bound:.6f}" if cfg["table"] else f"{bound:.6f}")
     if not cfg["verify"]:
         return 0
-    with _as_usage():
-        reports = run_theorem_experiment(
-            iterations=cfg["N"], branchings=cfg["branchings"], trees=cfg["trees"],
-            max_depth=cfg["max_depth"], master_seed=cfg["seed"],
-        )
     lines = ["b,exploration,iterations,breadth_first_fraction,accuracy,se"]
     for report in reports:
         print(

@@ -18,8 +18,9 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-# Bytes taken from the engine's pipe per read. Unread output waits in the
-# pipe, so the transport holds at most one chunk past the line it returns.
+# Bytes taken from the engine's pipe per read, and the longest line the
+# transport accepts. Unread output waits in the pipe, so the transport
+# holds at most two chunks: a line and the chunk that ends it.
 READ_CHUNK = 65_536
 
 
@@ -58,19 +59,22 @@ class LiveTransport:
 
     def recv(self, timeout: float | None = None) -> str:
         deadline = time.monotonic() + (self.timeout if timeout is None else timeout)
-        while (end := self._buffer.find(b"\n")) < 0 and not self._eof:
+        buffer = self._buffer
+        while (end := buffer.find(b"\n")) < 0 and not self._eof and len(buffer) <= READ_CHUNK:
             left = deadline - time.monotonic()
             if left <= 0 or not select.select([self._fd], [], [], left)[0]:
                 raise EngineTimeout("engine silent past the timeout")
             chunk = os.read(self._fd, READ_CHUNK)
-            self._buffer += chunk
+            buffer += chunk
             self._eof = not chunk
         if end < 0:  # a last line without a newline still counts
-            if not self._buffer:
+            if not buffer:
                 raise EngineTimeout("engine closed its output stream")
-            end = len(self._buffer)
-        raw = bytes(self._buffer[:end])
-        del self._buffer[: end + 1]
+            end = len(buffer)
+        if end > READ_CHUNK:
+            raise ValueError(f"engine sent a line longer than {READ_CHUNK} bytes")
+        raw = bytes(buffer[:end])
+        del buffer[: end + 1]
         try:
             return raw.removesuffix(b"\r").decode()
         except UnicodeDecodeError:

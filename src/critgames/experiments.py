@@ -24,9 +24,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bitmix
 from .heuristics import HeuristicSpec, parse_heuristic
-from .search_minimax import MinimaxConfig, alphabeta
+from .search_minimax import MinimaxConfig, alphabeta, minimax_decisions
 from .search_uct import SearchResult, UctConfig, uct_search
-from .tree_model import GameParams, node_meta
+from .tree_model import GameParams, node_meta, within_cap
 
 _TREE_TAG = 0xB5297A4D3F84D5A9
 _SEARCH_TAG = 0x68E31DA4DBB3C2B1
@@ -45,15 +45,23 @@ def _build_uct(c: float, budgets: tuple[int, ...], heuristic: HeuristicSpec):
 
 
 def _build_alphabeta(c: float, budgets: tuple[int, ...], heuristic: HeuristicSpec):
-    """One alpha-beta search per tree and depth; c is only a label."""
+    """Alpha-beta decisions per tree and depth; c is only a label.
+
+    Depths d with b^d within `tree_model.ENUM_CAP` are decided together
+    by one full-width pass over the tree; each deeper depth by one
+    alpha-beta search. Both give alpha-beta's action.
+    """
     for depth in budgets:
         MinimaxConfig(depth, heuristic, 0)
 
     def decide(params: GameParams, search_seed: int) -> dict[int, int]:
-        return {
-            depth: alphabeta(params, (), MinimaxConfig(depth, heuristic, search_seed)).best_action
-            for depth in budgets
-        }
+        b = params.branching_factor
+        wide = [depth for depth in budgets if within_cap(b, depth)]
+        actions = minimax_decisions(params, wide, heuristic, search_seed) if wide else {}
+        for depth in budgets[len(wide):]:  # budgets ascend, so the wide ones come first
+            cfg = MinimaxConfig(depth, heuristic, search_seed)
+            actions[depth] = alphabeta(params, (), cfg).best_action
+        return actions
 
     return decide
 

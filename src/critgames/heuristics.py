@@ -9,7 +9,8 @@ keying the stream off the node's identity.
 Both searches score nodes through `frontier_scorer`, which keys the
 stream by (search seed, node state) and returns exactly what `evaluate`
 returns on ``KeyedDraws(eval_key(seed) ^ state)``; `evaluate` is the
-reference it is tested against.
+reference it is tested against. `frontier_scorer_np` scores a whole
+level of nodes at once, bit for bit as `frontier_scorer` does.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .bitmix import draw_word, mix64, read_text, unit
-from .tree_model import PLUS, GameParams, Player, player_at, subtree_plus_density
+import numpy as np
+
+from .bitmix import draw_word, mix64, mix64_inplace, read_text, unit, unit_np
+from .tree_model import MINUS, PLUS, GameParams, Player, player_at, subtree_plus_density
 
 KINDS = ("perfect", "gaussian", "histogram", "playout-l1", "playout-linf")
 
@@ -241,6 +244,78 @@ def frontier_scorer(
 
             def score(depth: int, value: int, state: int) -> float:
                 return 1.0 if unit(mix64(state ^ word0)) < density(depth, value) else 0.0
+
+    return score
+
+
+def frontier_scorer_np(
+    spec: HeuristicSpec, params: GameParams, key: int
+) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
+    """score(depth, plus, states): `frontier_scorer` over a whole level.
+
+    `plus` flags the +1 nodes at `depth` and `states` holds their states;
+    the result is a float64 array, bit for bit the scalar scorer's value
+    at each node. The histogram quantile repeats `HistogramPdf.quantile`'s
+    arithmetic in its order. The Gaussian maps `math.log` and `math.cos`
+    over the nodes, because numpy's log and cos may round differently;
+    sqrt and the products are exactly rounded either way.
+    """
+    max_depth = params.max_depth
+    word0, word1 = np.uint64(draw_word(key, 0)), np.uint64(draw_word(key, 1))
+    kind = spec.kind
+
+    def utility(depth: int, plus: np.ndarray, states: np.ndarray) -> np.ndarray:
+        return plus.astype(np.float64)
+
+    def draws(states: np.ndarray, word: np.uint64) -> np.ndarray:
+        return unit_np(mix64_inplace(states ^ word))
+
+    if kind == "perfect":  # terminal or not, the true utility
+        return utility
+    if kind == "gaussian":
+        sigma = spec.sigma
+
+        def noisy(depth: int, plus: np.ndarray, states: np.ndarray) -> np.ndarray:
+            logs = np.fromiter(map(log, (1.0 - draws(states, word0)).tolist()), np.float64)
+            cosines = np.fromiter(map(cos, (2.0 * pi * draws(states, word1)).tolist()), np.float64)
+            base = plus.astype(np.float64)
+            return np.minimum(1.0, np.maximum(0.0, base + sigma * np.sqrt(-2.0 * logs) * cosines))
+
+    elif kind == "histogram":
+        assert spec.histogram is not None
+        pdf = spec.histogram
+        # per class: running sums, the sum below each bin, and the weights
+        tables = [
+            (where, np.asarray(cum), np.asarray((0.0,) + cum), np.asarray(weights))
+            for where, cum, weights in (
+                (False, pdf._minus_cum, pdf.minus_weights), (True, pdf._plus_cum, pdf.plus_weights)
+            )
+        ]
+
+        def noisy(depth: int, plus: np.ndarray, states: np.ndarray) -> np.ndarray:
+            u = draws(states, word0)
+            out = np.empty(u.size, dtype=np.float64)
+            for where, cum, low, weights in tables:
+                mask = plus == where
+                uc = u[mask]
+                i = np.searchsorted(cum, uc, side="right")
+                out[mask] = (i + (uc - low[i]) / weights[i]) / pdf.bin_count
+            return out
+
+    else:  # the playout kinds
+
+        def noisy(depth: int, plus: np.ndarray, states: np.ndarray) -> np.ndarray:
+            minus_density, plus_density = (
+                subtree_plus_density(params, value, player_at(depth), max_depth - depth)
+                for value in (MINUS, PLUS)
+            )
+            density = np.where(plus, plus_density, minus_density)
+            if kind == "playout-linf":
+                return density
+            return (draws(states, word0) < density).astype(np.float64)
+
+    def score(depth: int, plus: np.ndarray, states: np.ndarray) -> np.ndarray:
+        return (utility if depth >= max_depth else noisy)(depth, plus, states)
 
     return score
 

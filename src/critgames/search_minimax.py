@@ -1,5 +1,6 @@
-"""Depth-limited minimax with fail-soft alpha-beta pruning, plus an
-exhaustive unpruned oracle.
+"""Depth-limited minimax with fail-soft alpha-beta pruning, plus two
+exhaustive unpruned searches: a scalar oracle and a numpy full-width pass
+that decides many depths at once.
 
 Frontier nodes (relative depth d_s, or terminal) are scored by
 `heuristics.frontier_scorer`; terminals return their true utility.
@@ -16,7 +17,10 @@ separate Max/Min recursion bit for bit. The searches share one root
 loop, where ties go to the lowest index. Below the root, `alphabeta`
 recurses on (depth, value, state) integers and applies the growth rule's
 two parts directly; `minimax_reference` walks `NodeCursor` objects, so
-comparing the two checks one against the other.
+comparing the two checks one against the other. `minimax_decisions`
+grows whole levels with `tree_model.LevelStep`, scores them with
+`heuristics.frontier_scorer_np` and backs up with numpy max and min;
+it returns only the root decisions, which equal alpha-beta's.
 """
 
 from __future__ import annotations
@@ -24,12 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 from random import Random  # unused here, kept: the benchmark's traced run wraps this name
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .bitmix import MASK64, checked_int, child_state, eval_key
+import numpy as np
+
+from .bitmix import MASK64, checked_int, child_state, eval_key, root_state_np
 from .heuristics import evaluate  # unused here, kept: the benchmark's traced run wraps this name
-from .heuristics import HeuristicSpec, frontier_scorer
-from .tree_model import GameParams, NodeCursor, checked_span, designated_child, grown_value
+from .heuristics import HeuristicSpec, frontier_scorer, frontier_scorer_np
+from .tree_model import (
+    GameParams, LevelStep, NodeCursor, checked_span, designated_child, grown_value
+)
 
 
 @dataclass(frozen=True)
@@ -118,3 +126,38 @@ def minimax_reference(params: GameParams, path: Sequence[int], cfg: MinimaxConfi
 
     value, action = _root_search(params, path, lambda child, _: -rec(child, cfg.depth - 1))
     return MinimaxResult(value, action, evals)
+
+
+def minimax_decisions(
+    params: GameParams, depths: Iterable[int], heuristic: HeuristicSpec, seed: int
+) -> dict[int, int]:
+    """{d: alphabeta(params, (), MinimaxConfig(d, heuristic, seed)).best_action}
+    for each d in `depths`, from one full-width expansion of the tree.
+
+    The tree grows from the root level by level in numpy (`LevelStep`).
+    Each depth's frontier level is scored as it is reached and backed up
+    at once, by max on Max levels and min on Min levels; the root takes
+    the first child of highest value, as `_root_search` does. Backed-up
+    minimax values equal alpha-beta's exactly, so the actions do too.
+    The deepest frontier must pass `checked_span`.
+    """
+    depths = [MinimaxConfig(d, heuristic, seed).depth for d in depths]
+    b = params.branching_factor
+    frontiers = {d: min(d, params.max_depth) for d in depths}
+    scored = set(frontiers.values())
+    last = checked_span(b, max(scored, default=0), "depth")
+    score = frontier_scorer_np(heuristic, params, eval_key(seed))
+    grow = LevelStep(b, params.critical_rate, b ** max(last - 1, 0))
+    states = root_state_np(np.array([params.seed], dtype=np.uint64))
+    plus = np.ones(1, dtype=bool)
+    actions = {}
+    for level in range(last):
+        plus, states = grow(level, states, plus)
+        if level + 1 not in scored:
+            continue
+        values = score(level + 1, plus, states)
+        for depth in range(level, 0, -1):  # the parents' depth
+            values = values.reshape(b, -1)
+            values = values.max(axis=0) if depth % 2 == 0 else values.min(axis=0)
+        actions[level + 1] = int(np.argmax(values))
+    return {d: actions[frontiers[d]] for d in depths}

@@ -25,11 +25,14 @@ vectorized mixer so the recurrence can be checked against brute force.
 The enumeration lays each level out index-major, child j of every node
 in one contiguous block, and tests flip draws on the raw 64-bit words
 against one integer threshold (`flip_threshold`), which is exact, so its
-per-level counts are those of `node_value` node by node.
+per-level counts are those of `node_value` node by node. One class,
+`LevelStep`, grows a level this way, for the enumeration and for the
+full-width minimax pass alike.
 
 Every exact oracle that expands all b^d nodes d plies below a node (the
-export, enumeration, PV leaf sums, reference minimax) first passes d to
-`checked_span`, which refuses b^d > `ENUM_CAP` without computing b^d.
+export, enumeration, PV leaf sums, both exhaustive minimax searches)
+first passes d to `checked_span`, which refuses b^d > `ENUM_CAP` without
+computing b^d; `within_cap` is the same test as a predicate.
 """
 
 from __future__ import annotations
@@ -92,11 +95,16 @@ class NodeInfo:
     optimal_moves: frozenset[int]
 
 
+def within_cap(b: int, d: int) -> bool:
+    """b^d <= `ENUM_CAP`, for b >= 2 and d >= 0, without computing a huge power."""
+    # b >= 2, so every d past the cap's bit length is over the cap
+    return b ** min(d, ENUM_CAP.bit_length()) <= ENUM_CAP
+
+
 def checked_span(b: int, d: object, name: str) -> int:
     """`d` as an int >= 0 with b^d <= `ENUM_CAP` (b >= 2), else a ValueError naming `name`."""
     d = checked_int(name, d, 0)
-    # b >= 2, so every d past the cap's bit length is over the cap
-    if b ** min(d, ENUM_CAP.bit_length()) > ENUM_CAP:
+    if not within_cap(b, d):
         raise ValueError(f"b^{name} exceeds {ENUM_CAP}")
     return d
 
@@ -339,54 +347,75 @@ def flip_threshold(gamma: float) -> int:
     return math.ceil(gamma * 2.0**53) << 11
 
 
-def _profile_for_seeds(b: int, gamma: float, depth: int, seeds: np.ndarray) -> np.ndarray:
-    """(len(seeds), depth+1) array of exact +1 fractions per level.
+class LevelStep:
+    """The growth rule over whole levels of nodes, in numpy.
 
-    A level of width w is one flat array, seed-minor: with n seeds, node k
-    belongs to seed k % n. Its children form a (b, w) array whose row j
+    A level of width w is one flat uint64 array of node states and one
+    bool array of +1 flags. Its children form a (b, w) array whose row j
     holds child j of every node, so child j of node k is node j * w + k
     of the next level. Parents go in tiles of about `_TILE` children,
-    which keeps the mixer's passes over a tile's buffers in cache.
+    which keeps the mixer's passes over a tile's buffers in cache; the
+    buffers are sized once, for levels of at most `widest` parents.
     """
-    n_seeds = seeds.size
-    out = np.empty((n_seeds, depth + 1), dtype=np.float64)
-    out[:, 0] = 1.0
-    threshold = flip_threshold(gamma)
-    draw = threshold <= MASK64  # else (gamma 1) every draw flips, and none is mixed
-    bound = np.uint64(threshold if draw else 0)
-    index = np.arange(b, dtype=np.uint64)[:, None]
-    flip_words, child_words = bitmix.indexed_word(FLIP_TAG, index), bitmix.child_word(index)
-    step = max(1, _TILE // b)  # parents per tile
-    size = b * min(step, n_seeds * b ** max(depth - 1, 0))  # children of the widest tile
-    words, scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
-    designated = np.empty(size // b, dtype=np.uint64)
-    states = bitmix.root_state_np(seeds)
-    plus = np.ones(n_seeds, dtype=bool)
-    for level in range(depth):
+
+    def __init__(self, b: int, gamma: float, widest: int) -> None:
+        self.b = b
+        threshold = flip_threshold(gamma)
+        self.draw = threshold <= MASK64  # else (gamma 1) every draw flips, and none is mixed
+        self.bound = np.uint64(threshold if self.draw else 0)
+        self.index = np.arange(b, dtype=np.uint64)[:, None]
+        self.flip_words = bitmix.indexed_word(FLIP_TAG, self.index)
+        self.child_words = bitmix.child_word(self.index)
+        self.step = max(1, _TILE // b)  # parents per tile
+        size = b * min(self.step, widest)  # children of the widest tile
+        self.words, self.scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+        self.designated = np.empty(size // b, dtype=np.uint64)
+
+    def __call__(
+        self, level: int, states: np.ndarray, plus: np.ndarray, with_states: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(child +1 flags, child states or None) of the nodes at depth `level`,
+        flat, in the layout above."""
+        b, step, index = self.b, self.step, self.index
         width = plus.size
         child_plus = np.empty((b, width), dtype=bool)
-        child_states = np.empty((b, width), dtype=np.uint64) if level < depth - 1 else None
+        child_states = np.empty((b, width), dtype=np.uint64) if with_states else None
         for lo in range(0, width, step):
             hi = min(lo + step, width)
             m = hi - lo
             tile_states, tile_plus = states[lo:hi], plus[lo:hi]
-            w, s = words[: b * m].reshape(b, m), scratch[: b * m].reshape(b, m)
+            w, s = self.words[: b * m].reshape(b, m), self.scratch[: b * m].reshape(b, m)
             choice = tile_plus if level % 2 == 0 else ~tile_plus
-            d = designated[:m]
+            d = self.designated[:m]
             np.bitwise_xor(tile_states, _DESIGNATED, out=d)
             np.remainder(bitmix.mix64_inplace(d, s[0]), np.uint64(b), out=d)
             flips = (d != index) & choice
-            if draw:
-                np.bitwise_xor(tile_states, flip_words, out=w)
-                flips &= bitmix.mix64_inplace(w, s) < bound
+            if self.draw:
+                np.bitwise_xor(tile_states, self.flip_words, out=w)
+                flips &= bitmix.mix64_inplace(w, s) < self.bound
             np.not_equal(tile_plus, flips, out=child_plus[:, lo:hi])
             if child_states is not None:
                 block = child_states[:, lo:hi]
-                np.bitwise_xor(tile_states, child_words, out=block)
+                np.bitwise_xor(tile_states, self.child_words, out=block)
                 bitmix.mix64_inplace(block, s)
-        plus = child_plus.reshape(-1)
+        return child_plus.reshape(-1), None if child_states is None else child_states.reshape(-1)
+
+
+def _profile_for_seeds(b: int, gamma: float, depth: int, seeds: np.ndarray) -> np.ndarray:
+    """(len(seeds), depth+1) array of exact +1 fractions per level.
+
+    The levels hold every seed's nodes side by side, seed-minor: with n
+    seeds, node k of a level belongs to seed k % n, which `LevelStep`'s
+    layout keeps from level to level.
+    """
+    n_seeds = seeds.size
+    out = np.empty((n_seeds, depth + 1), dtype=np.float64)
+    out[:, 0] = 1.0
+    grow = LevelStep(b, gamma, n_seeds * b ** max(depth - 1, 0))
+    states = bitmix.root_state_np(seeds)
+    plus = np.ones(n_seeds, dtype=bool)
+    for level in range(depth):
+        plus, states = grow(level, states, plus, with_states=level < depth - 1)
         counts = plus.reshape(-1, n_seeds).sum(axis=0, dtype=np.int32)  # at most b^depth
         out[:, level + 1] = counts / float(b ** (level + 1))
-        if child_states is not None:
-            states = child_states.reshape(-1)
     return out

@@ -3,6 +3,7 @@
 import json
 import shlex
 import sys
+import time
 from importlib import resources
 
 import pytest
@@ -494,6 +495,22 @@ class TestTheoremCommand:
         code, _, _ = run(capsys, "theorem", "--N", "1", "--out-dir", str(tmp_path))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--trees", "0"),
+            ("--branchings", "2,1"),
+            ("--max-depth", "0"),
+            ("--seed", "-1"),
+            ("--table", "512,1"),
+        ],
+    )
+    def test_verify_settings_checked_before_any_output(self, capsys, tmp_path, args):
+        code, out, err = run(capsys, "theorem", "--verify", *args, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert "error" in err
+
 
 class TestProbeCommand:
     def test_mock_probe_reproduces_golden_transcript(self, capsys, tmp_path):
@@ -526,6 +543,16 @@ class TestProbeCommand:
         code, _, err = run(capsys, "probe", "--engine", engine, "--out-dir", str(tmp_path))
         assert code == 2
         assert "no end to the reply to 'uci' within 100000 lines" in err
+
+    def test_engine_line_without_end_is_runtime_error(self, capsys, tmp_path):
+        # 1 MiB and no newline, then the engine stays up
+        flood = "import sys, time; sys.stdout.write('x' * (1 << 20)); sys.stdout.flush(); time.sleep(30)"
+        engine = f"{shlex.quote(sys.executable)} -c {shlex.quote(flood)}"
+        start = time.monotonic()
+        code, _, err = run(capsys, "probe", "--engine", engine, "--out-dir", str(tmp_path))
+        assert time.monotonic() - start < 5.0
+        assert code == 2
+        assert err.count("\n") == 1 and "line longer than 65536 bytes" in err
 
     def test_single_class_fens_is_runtime_error(self, capsys, tmp_path):
         fens = tmp_path / "fens.txt"

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import zlib
 from importlib import resources
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from critgames.engine import (
     save_transcript,
 )
 from critgames.engine import session as session_module
+from critgames.engine.transport import READ_CHUNK
 from critgames.engine.mock_engine import load_scenario
 from critgames.engine.mock_engine import main as mock_main
 from critgames.heuristics import load_histogram, save_histogram
@@ -62,8 +64,12 @@ def live_session(cfg):
 
 
 def scripted_transport(payload, linger=10.0):
-    """An engine that writes `payload` raw, then stays up for `linger` s."""
-    script = (f"import sys, time; sys.stdout.buffer.write({payload!r}); "
+    """An engine that writes `payload` raw, then stays up for `linger` s.
+
+    The payload travels compressed, so a long one fits the argument list.
+    """
+    packed = zlib.compress(payload)
+    script = (f"import sys, time, zlib; sys.stdout.buffer.write(zlib.decompress({packed!r})); "
               f"sys.stdout.flush(); time.sleep({linger})")
     return LiveTransport([sys.executable, "-c", script])
 
@@ -164,6 +170,25 @@ class TestTransports:
             with pytest.raises(ValueError, match=r"not UTF-8: b'id name Caf\\xe9'"):
                 transport.recv(timeout=5.0)
             assert time.monotonic() - start < 1.0
+        finally:
+            transport.close()
+
+    def test_overlong_line_fails_at_once(self):
+        transport = scripted_transport(b"x" * (1 << 20))
+        try:
+            start = time.monotonic()
+            with pytest.raises(ValueError, match=f"line longer than {READ_CHUNK} bytes"):
+                transport.recv(timeout=5.0)
+            assert time.monotonic() - start < 1.0
+            assert len(transport._buffer) <= 2 * READ_CHUNK
+        finally:
+            transport.close()
+
+    def test_line_of_read_chunk_bytes_is_accepted(self):
+        transport = scripted_transport(b"y" * READ_CHUNK + b"\nreadyok\n")
+        try:
+            assert transport.recv(timeout=5.0) == "y" * READ_CHUNK
+            assert transport.recv(timeout=5.0) == "readyok"
         finally:
             transport.close()
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -25,6 +26,8 @@ from critgames.experiments import (
     theorem_runs,
     tree_seeds,
 )
+from critgames.heuristics import parse_heuristic
+from critgames.search_minimax import MinimaxConfig, alphabeta
 
 
 def tiny_spec(**kw):
@@ -196,23 +199,81 @@ class TestStatisticalWiring:
         assert csv_lines(run_grid(tiny_spec(algorithm="coin")))[1].split(",")[4] == "coin"
 
 
+SEARCHES = ("uct_search", "alphabeta", "minimax_decisions")
+
+
 class TestDeciders:
     def test_searches_looked_up_when_trees_run(self, monkeypatch):
         """Wrappers installed after import see every search: one per tree
-        for UCT, one per tree and depth for alpha-beta, and the CSV holds."""
-        for algorithm, budgets, per_tree in (("uct", (5, 20), 1), ("alphabeta", (1, 2, 3), 3)):
+        for UCT and, for alpha-beta depths within the cap, one full-width
+        pass per tree; and the CSV holds."""
+        for algorithm, budgets in (("uct", (5, 20)), ("alphabeta", (1, 2, 3))):
             spec = tiny_spec(
                 trees=6, budgets=budgets, max_depth=6, algorithm=algorithm, branchings=(2, 3)
             )
             plain = csv_lines(run_grid(spec, workers=1))
             calls = []
             with monkeypatch.context() as patch:
-                for name in ("uct_search", "alphabeta"):
+                for name in SEARCHES:
                     patch.setattr(experiments, name, counting(name, getattr(experiments, name), calls))
                 counted = csv_lines(run_grid(spec, workers=1))
-            search = "uct_search" if algorithm == "uct" else "alphabeta"
-            assert calls == [search] * (len(cells(spec)) * spec.trees * per_tree)
+            search = "uct_search" if algorithm == "uct" else "minimax_decisions"
+            assert calls == [search] * (len(cells(spec)) * spec.trees)
             assert counted == plain
+
+    def test_alphabeta_takes_the_depths_past_the_cap(self, monkeypatch):
+        """b^d at or under ENUM_CAP goes to the full-width pass, every
+        deeper depth to one alpha-beta search; decisions are alpha-beta's."""
+        # 2^19 = 524288 <= 10^6 < 2^20
+        spec = tiny_spec(
+            budgets=(3, 19, 20, 21), max_depth=30, trees=1, algorithm="alphabeta",
+            heuristics=("gaussian:0.3",),
+        )
+        cell = cells(spec)[0]
+        calls = []
+
+        def record(name, search):
+            def wrapper(params, *args):
+                calls.append((name, args[0] if name == "minimax_decisions" else args[1].depth))
+                return search(params, *args)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in SEARCHES[1:]:
+                patch.setattr(experiments, name, record(name, getattr(experiments, name)))
+            records = run_cell(cell, spec.master_seed)
+        assert calls == [("minimax_decisions", [3, 19]), ("alphabeta", 20), ("alphabeta", 21)]
+        [(params, optimal, search_seed)] = experiments.cell_trees(cell, spec.master_seed, range(1))
+        for depth in (3, 19):
+            cfg = MinimaxConfig(depth, parse_heuristic("gaussian:0.3"), search_seed)
+            assert records[0][depth] == (alphabeta(params, (), cfg).best_action in optimal)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenAlphabeta:
+    """Alpha-beta grids recorded when every tree and depth ran one alpha-beta
+    search; the full-width pass must reproduce them byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name, grid",
+        [
+            # the worker-count grid of CI, at 20 trees
+            ("alphabeta_ci.csv", dict(gammas=(1.0,), branchings=(2, 3),
+                                      heuristics=("histogram:chess_p10_light", "gaussian:0.3"),
+                                      budgets=(2, 4, 6))),
+            # budget 5 lies past max_depth 4
+            ("alphabeta_edges.csv", dict(gammas=(0.0, 0.5), branchings=(2, 3),
+                                         heuristics=("perfect", "playout-l1", "playout-linf"),
+                                         budgets=(1, 3, 5), max_depth=4)),
+        ],
+    )
+    def test_results_csv_unchanged(self, tmp_path, name, grid):
+        spec = GridSpec(explorations=(0.5,), trees=20, algorithm="alphabeta", **grid)
+        emit_results(spec, run_grid(spec), tmp_path)
+        assert (tmp_path / "results.csv").read_bytes() == (GOLDEN / name).read_bytes()
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@
 import math
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from critgames.heuristics import (
     bundled_histogram,
     evaluate,
     frontier_scorer,
+    frontier_scorer_np,
     gaussian,
     histogram,
     load_histogram,
@@ -385,3 +387,22 @@ class TestFrontierScorer:
         score = frontier_scorer(gaussian(0.5), params, key=9)
         assert [score(4, PLUS, s) for s in range(50)] == [1.0] * 50
         assert [score(4, MINUS, s) for s in range(50)] == [0.0] * 50
+
+
+class TestFrontierScorerNp:
+    @pytest.mark.parametrize("spec", SCORER_SPECS, ids=lambda spec: spec.label)
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_matches_scalar_scorer_bit_for_bit(self, spec, gamma):
+        rng = Random(f"{spec.label}|{gamma}")
+        params = GameParams(3, gamma, 6, seed=1)
+        states = [rng.getrandbits(64) for _ in range(1500)]
+        values = [rng.choice([PLUS, MINUS]) for _ in states]
+        for _ in range(3):
+            key = rng.getrandbits(64)
+            scalar = frontier_scorer(spec, params, key)
+            vector = frontier_scorer_np(spec, params, key)
+            for depth in (0, 1, 4, 5, 6):  # 6 is terminal
+                got = vector(depth, np.array(values) == PLUS, np.array(states, dtype=np.uint64))
+                assert got.dtype == np.float64 and got.shape == (len(states),)
+                want = [scalar(depth, v, s).hex() for v, s in zip(values, states)]
+                assert [x.hex() for x in got.tolist()] == want, (spec.label, depth)

@@ -1,4 +1,5 @@
-"""Alpha-beta tests: oracle equivalence, pruning benefit, noise replay."""
+"""Alpha-beta tests: oracle equivalence, pruning benefit, noise replay,
+and the full-width pass that decides many depths at once."""
 
 from random import Random
 
@@ -9,9 +10,14 @@ from hypothesis import strategies as st
 from critgames import search_minimax
 from critgames.bitmix import KeyedDraws, eval_key
 from critgames.heuristics import EvalContext, evaluate, gaussian, parse_heuristic, perfect
-from critgames.search_minimax import MinimaxConfig, alphabeta, minimax_reference
+from critgames.search_minimax import (
+    MinimaxConfig,
+    alphabeta,
+    minimax_decisions,
+    minimax_reference,
+)
 from critgames.search_uct import UctConfig, uct_search
-from critgames.tree_model import MINUS, PLUS, GameParams, node_meta, walk
+from critgames.tree_model import ENUM_CAP, MINUS, PLUS, GameParams, node_meta, walk
 
 
 def make_params(b=2, gamma=1.0, d_max=8, seed=1):
@@ -238,3 +244,59 @@ class TestFrontierNoise:
         res = alphabeta(params, (0,), cfg)
         assert res.value in (0.0, 1.0)
         assert res.value == minimax_reference(params, (0,), cfg).value
+
+
+ALL_KINDS = ["perfect", "gaussian:0.3", "gaussian:2", "histogram:chess_p10_light",
+             "playout-l1", "playout-linf"]
+
+
+class TestMinimaxDecisions:
+    def test_matches_alphabeta_on_random_instances(self):
+        rng = Random(2026)
+        # the largest depth per b keeps each instance's full width small
+        deepest = {2: 10, 3: 6, 4: 5, 5: 4}
+        pairs = mismatches = 0
+        for instance in range(2000):
+            b = rng.choice(sorted(deepest))
+            gamma = (0.0, 1.0, rng.random())[instance % 3]
+            # max_depth is often below some of the depths searched
+            params = make_params(b=b, gamma=gamma, d_max=rng.randrange(1, deepest[b] + 3),
+                                 seed=rng.getrandbits(64))
+            depths = sorted(rng.sample(range(1, deepest[b] + 1), rng.randrange(1, 4)))
+            heuristic = parse_heuristic(rng.choice(ALL_KINDS))
+            seed = rng.getrandbits(64)
+            decisions = minimax_decisions(params, depths, heuristic, seed)
+            assert list(decisions) == depths
+            for depth in depths:
+                cfg = MinimaxConfig(depth, heuristic, seed)
+                pairs += 1
+                mismatches += decisions[depth] != alphabeta(params, (), cfg).best_action
+        assert pairs >= 2000
+        assert mismatches == 0
+
+    def test_ties_go_to_the_lowest_index(self):
+        # gamma 0: every node is +1 and the perfect evaluator ties all children
+        params = make_params(b=4, gamma=0.0, d_max=6, seed=3)
+        assert minimax_decisions(params, (1, 2, 3), perfect(), 0) == {1: 0, 2: 0, 3: 0}
+
+    def test_depths_in_any_order(self):
+        params = make_params(b=3, gamma=0.7, d_max=4, seed=8)
+        spec = gaussian(0.5)
+        one = {d: minimax_decisions(params, [d], spec, 4)[d] for d in (1, 3, 6)}
+        together = minimax_decisions(params, (6, 1, 3), spec, 4)
+        assert list(together.items()) == [(6, one[6]), (1, one[1]), (3, one[3])]
+        assert minimax_decisions(params, (), spec, 4) == {}
+
+    def test_validation(self):
+        params = make_params(b=10, d_max=50)
+        with pytest.raises(ValueError, match="depth must be an integer >= 1"):
+            minimax_decisions(params, (0, 2), perfect(), 1)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            minimax_decisions(params, (1,), perfect(), -1)
+        with pytest.raises(ValueError, match=f"b\\^depth exceeds {ENUM_CAP}"):
+            minimax_decisions(params, (1, 7), perfect(), 1)
+        # past max_depth the frontier stops at the terminal level, within the cap
+        shallow = make_params(b=10, d_max=2)
+        decisions = minimax_decisions(shallow, (2, 50), gaussian(0.3), 1)
+        best = alphabeta(shallow, (), MinimaxConfig(2, gaussian(0.3), 1)).best_action
+        assert decisions == {2: best, 50: best}
