@@ -170,7 +170,6 @@ SUB_OPTS: dict[str, dict[str, Opt]] = {
         "workers": Opt(int, os.cpu_count() or 1, "process count for experiment sweeps"),
     },
     "pv-check": {
-        "b": Opt(int, 2, "branching factor"),
         "depth_max": Opt(int, 10, "largest distance checked"),
         "seeds": Opt(int, 100, "instances for the exact check"),
         "cost": Opt(int, 1, "sibling step cost"),
@@ -197,7 +196,7 @@ SUB_OPTS: dict[str, dict[str, Opt]] = {
         "multipv": Opt(int, ProbeConfig.multipv, "lines requested from the engine"),
         "deep_depth": Opt(int, ProbeConfig.deep_depth, "deep search depth"),
         "child_depth": Opt(int, ProbeConfig.child_depth, "reply search depth"),
-        "heavy_depth": Opt(int, ProbeConfig.heavy_depth, "heavy-walk search depth"),
+        "heavy_depth": Opt(int, ProbeConfig.heavy_depth, "heavy-mode walk search depth"),
         "bins": Opt(int, ProbeConfig.hist_bins, "histogram bin count"),
         "timeout": Opt(float, ProbeConfig.timeout, "seconds to wait for each engine reply"),
         "no_perft": Opt(_bool, not ProbeConfig.use_perft, "list moves by wide search, not perft",
@@ -415,10 +414,8 @@ def _cmd_experiment(cfg: dict[str, object]) -> int:
 
 
 def _cmd_pv_check(cfg: dict[str, object]) -> int:
-    """Check the leaf-sum separation exactly and score the naive planner."""
+    """Check the binary leaf-sum separation exactly and score the naive planner."""
     with _as_usage():
-        if cfg["b"] != 2:
-            raise ValueError("the exact separation check is defined for b = 2")
         depth_max = checked_span(2, cfg["depth_max"], "depth_max")
         seeds, cost = checked_int("seeds", cfg["seeds"], 1), cfg["cost"]
         pv_params = partial(PvParams, branching_factor=2, cost=cost)
@@ -493,6 +490,8 @@ def _cmd_probe(cfg: dict[str, object]) -> int:
             use_perft=not cfg["no_perft"], timeout=cfg["timeout"],
             options=tuple(cfg["options"]),
         )
+        if probe_cfg.mode != "heavy":
+            _refuse_unread("probe", cfg, ("heavy_depth",), "is for --mode heavy only")
         if cfg["engine"]:
             _refuse_unread("probe", cfg, ("scenario",), "is for the bundled mock, not --engine")
             argv = shlex.split(str(cfg["engine"]))

@@ -99,9 +99,19 @@ class GridSpec:
         # every cell's values, checked by the types that own their rules
         for g, b in product(self.gammas, self.branchings):
             GameParams(b, g, self.max_depth, 0)
-        for h in map(parse_heuristic, self.heuristics):  # fail fast on typos
-            for c in self.explorations:
-                DECIDERS[self.algorithm](c, self.budgets, h)
+        specs = tuple(map(parse_heuristic, self.heuristics))  # fail fast on typos
+        for h, c in product(specs, self.explorations):
+            DECIDERS[self.algorithm](c, self.budgets, h)
+        # then each value in one form, so equal settings key equal cells
+        forms = {
+            "gammas": map(float, self.gammas), "explorations": map(float, self.explorations),
+            "branchings": map(int, self.branchings), "budgets": map(int, self.budgets),
+            "heuristics": (f"gaussian:{h.sigma!r}" if h.kind == "gaussian" else text
+                           for text, h in zip(self.heuristics, specs)),
+        }
+        for name, values in forms.items():
+            object.__setattr__(self, name, tuple(values))
+        object.__setattr__(self, "max_depth", int(self.max_depth))
 
 
 @dataclass(frozen=True)

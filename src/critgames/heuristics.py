@@ -124,8 +124,8 @@ class HeuristicSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown heuristic kind {self.kind!r}")
-        if not self.sigma >= 0:  # NaN fails too
-            raise ValueError(f"sigma must be >= 0, got {self.sigma!r}")
+        if not 0 <= self.sigma < inf:  # NaN fails too
+            raise ValueError(f"sigma must be >= 0 and finite, got {self.sigma!r}")
         if (self.histogram is None) == (self.kind == "histogram"):
             raise ValueError("histogram data required exactly for the histogram kind")
 
@@ -139,24 +139,12 @@ class HeuristicSpec:
         return self.kind
 
 
-def perfect() -> HeuristicSpec:
-    return HeuristicSpec("perfect")
-
-
 def gaussian(sigma: float = DEFAULT_SIGMA) -> HeuristicSpec:
     return HeuristicSpec("gaussian", sigma=sigma)
 
 
 def histogram(pdf: HistogramPdf) -> HeuristicSpec:
     return HeuristicSpec("histogram", histogram=pdf)
-
-
-def playout_l1() -> HeuristicSpec:
-    return HeuristicSpec("playout-l1")
-
-
-def playout_linf() -> HeuristicSpec:
-    return HeuristicSpec("playout-linf")
 
 
 class EvalContext(NamedTuple):
@@ -256,9 +244,10 @@ def frontier_scorer_np(
     `plus` flags the +1 nodes at `depth` and `states` holds their states;
     the result is a float64 array, bit for bit the scalar scorer's value
     at each node. The histogram quantile repeats `HistogramPdf.quantile`'s
-    arithmetic in its order. The Gaussian maps `math.log` and `math.cos`
-    over the nodes, because numpy's log and cos may round differently;
-    sqrt and the products are exactly rounded either way.
+    arithmetic in its order. The Gaussian maps `math.cos` over the nodes,
+    and `math.log` over those its clip does not decide, because numpy's
+    log and cos may round differently; sqrt and the products are exactly
+    rounded either way.
     """
     max_depth = params.max_depth
     word0, word1 = np.uint64(draw_word(key, 0)), np.uint64(draw_word(key, 1))
@@ -276,10 +265,15 @@ def frontier_scorer_np(
         sigma = spec.sigma
 
         def noisy(depth: int, plus: np.ndarray, states: np.ndarray) -> np.ndarray:
-            logs = np.fromiter(map(log, (1.0 - draws(states, word0)).tolist()), np.float64)
             cosines = np.fromiter(map(cos, (2.0 * pi * draws(states, word1)).tolist()), np.float64)
-            base = plus.astype(np.float64)
-            return np.minimum(1.0, np.maximum(0.0, base + sigma * np.sqrt(-2.0 * logs) * cosines))
+            out = plus.astype(np.float64)
+            # the noise has the cosine's sign; noise >= 0 clips a +1 node to 1 and
+            # noise <= 0 a -1 node to 0, so only the other nodes need a log
+            live = np.flatnonzero(np.where(plus, cosines < 0.0, cosines > 0.0))
+            logs = np.fromiter(map(log, (1.0 - draws(states[live], word0)).tolist()), np.float64)
+            noise = sigma * np.sqrt(-2.0 * logs) * cosines[live]
+            out[live] = np.minimum(1.0, np.maximum(0.0, out[live] + noise))
+            return out
 
     elif kind == "histogram":
         assert spec.histogram is not None
@@ -385,15 +379,15 @@ def _bundled_names() -> frozenset[str]:
 
 
 def parse_heuristic(text: str) -> HeuristicSpec:
-    """Parse a heuristic spec string: perfect | gaussian[:sigma] |
-    histogram:<bundled name or file path> | playout-l1 | playout-linf."""
-    kind, _, arg = text.strip().partition(":")
-    kind = kind.strip().lower()
-    if kind == "perfect":
-        return perfect()
-    if kind == "gaussian":
-        return gaussian(float(arg)) if arg else gaussian()
-    if kind in ("histogram", "hist"):
+    """Parse a heuristic's one spelling: perfect | gaussian[:SIGMA] | histogram:NAME|PATH
+    | playout-l1 | playout-linf. Other names or letter cases, whitespace around the kind
+    or SIGMA, and arguments on the kinds that take none are refused."""
+    kind, sep, arg = text.partition(":")
+    if kind in KINDS and kind != "histogram" and not sep:
+        return HeuristicSpec(kind)
+    if kind == "gaussian" and arg and arg == arg.strip():
+        return gaussian(float(arg))
+    if kind == "histogram":
         if not arg:
             raise ValueError("histogram heuristic needs a name or path")
         if arg in _bundled_names():
@@ -401,8 +395,4 @@ def parse_heuristic(text: str) -> HeuristicSpec:
         if Path(arg).is_file():
             return histogram(load_histogram(arg))
         raise ValueError(f"histogram {arg!r} is neither bundled nor a file")
-    if kind in ("playout-l1", "playout_l1"):
-        return playout_l1()
-    if kind in ("playout-linf", "playout_linf"):
-        return playout_linf()
     raise ValueError(f"unknown heuristic {text!r}")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from critgames import bitmix
 from critgames.engine import ProbeConfig
 from critgames.experiments import GridSpec
-from critgames.heuristics import perfect
+from critgames.heuristics import HeuristicSpec
 from critgames.pv_model import PvParams, pv_naive_plan
 from critgames.search_minimax import MinimaxConfig
 from critgames.search_uct import UctConfig
@@ -113,7 +113,7 @@ _SPEC = dict(gammas=(1.0,), branchings=(2,), explorations=(0.5,), budgets=(10,),
 
 def _config_cases():
     """(name, build, value): `build(value)` hands `value` to the argument `name`."""
-    h = perfect()
+    h = HeuristicSpec("perfect")
     seeds = [
         ("seed", lambda s: GameParams(2, 0.5, 4, s)),
         ("seed", lambda s: PvParams(2, 4, s)),

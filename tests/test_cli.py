@@ -313,6 +313,44 @@ class TestConfigResolution:
         assert not any(tmp_path.iterdir())
 
 
+# one spelling per heuristic, and no setting the run does not read
+REFUSED = [
+    (("search", "--heuristic", "hist:chess_p10_light"), "unknown heuristic"),
+    (("search", "--heuristic", "HISTOGRAM:chess_p10_light"), "unknown heuristic"),
+    (("search", "--heuristic", "playout_l1"), "unknown heuristic"),
+    (("search", "--heuristic", "perfect:junk"), "unknown heuristic"),
+    (("search", "--heuristic", "gaussian:inf"), "sigma must be >= 0 and finite"),
+    (("experiment", "--heuristics", "hist:chess_p10_light", "--trees", "1"), "unknown heuristic"),
+    (("probe", "--heavy-depth", "5"), "--heavy-depth is for --mode heavy only"),
+    (("pv-check", "--b", "2"), "unrecognized arguments: --b"),
+]
+
+
+class TestOneSpelling:
+    @pytest.mark.parametrize("args, message", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
+    def test_other_spellings_and_unread_settings_are_refused(self, capsys, tmp_path, args,
+                                                             message):
+        code, out, err = run(capsys, *args, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert message in err
+        assert out == ""
+        assert not any(tmp_path.iterdir())
+
+    def test_spaces_around_a_heuristic_give_the_same_files(self, capsys, tmp_path):
+        outputs = set()
+        for k, text in enumerate(("histogram:chess_p10_light", " histogram:chess_p10_light ")):
+            out = tmp_path / str(k)
+            code, _, _ = run(
+                capsys, "experiment", "--algo", "alphabeta", "--gammas", "1", "--branchings", "2",
+                "--explorations", "0.5", "--heuristics", text, "--budgets", "2,4",
+                "--max-depth", "8", "--trees", "10", "--workers", "1", "--out-dir", str(out),
+            )
+            assert code == 0
+            outputs.add(tuple((out / name).read_bytes()
+                              for name in ("results.csv", "manifest.txt", "pathology.svg")))
+        assert len(outputs) == 1
+
+
 class TestDeterminism:
     def test_gen_tree_same_seed_same_files(self, capsys, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]
@@ -458,11 +496,12 @@ class TestPvCheckCommand:
         assert lines[1].startswith("planner accuracy:")
 
     def test_rejects_other_branching(self, capsys, tmp_path):
+        # the separation check is defined for b = 2 alone, so b is no setting
         code, _, err = run(
             capsys, "pv-check", "--b", "3", "--out-dir", str(tmp_path)
         )
         assert code == 1
-        assert "b = 2" in err
+        assert "unrecognized arguments: --b" in err
 
 
 class TestTheoremCommand:

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 
 from critgames import experiments
@@ -76,6 +77,40 @@ class TestGridSpec:
         assert {(c.gamma, c.exploration) for c in grid} == {
             (0.5, 0.1), (0.5, 2.0), (1.0, 0.1), (1.0, 2.0)
         }
+
+
+class TestOneForm:
+    """A grid keys each cell by its values, not by how they were typed."""
+
+    @pytest.mark.parametrize(
+        "name, spellings",
+        [
+            ("heuristics", [("gaussian",), ("gaussian:0.3",), ("gaussian:0.30",)]),
+            ("gammas", [(1,), (1.0,), (np.float64(1.0),)]),
+            ("explorations", [(1,), (1.0,), (np.float64(1.0),)]),
+            ("budgets", [(10,), (np.int64(10),)]),
+        ],
+    )
+    def test_equal_settings_give_equal_files(self, tmp_path, name, spellings):
+        keys, outputs = set(), set()
+        for k, values in enumerate(spellings):
+            spec = tiny_spec(**{"algorithm": "alphabeta", "budgets": (2, 10), "trees": 8,
+                                name: values})
+            keys.update(cell_key(cell) for cell in cells(spec))
+            written = emit_results(spec, run_grid(spec), tmp_path / str(k))
+            outputs.add(tuple(path.read_bytes() for path in written))
+        assert len(keys) == 1
+        assert len(outputs) == 1
+
+    def test_values_take_one_form(self):
+        spec = tiny_spec(gammas=(np.float64(0.5), 1), branchings=(np.int64(2),),
+                         explorations=(2,), heuristics=("gaussian:2", "gaussian"),
+                         budgets=(np.int64(10),), max_depth=np.int64(8))
+        assert [type(v) for v in spec.gammas + spec.explorations] == [float] * 3
+        assert [type(v) for v in spec.branchings + spec.budgets] == [int] * 2
+        assert type(spec.max_depth) is int
+        assert spec.heuristics == ("gaussian:2.0", "gaussian:0.3")
+        assert "  gammas = (0.5, 1.0)" in manifest_lines(spec)
 
 
 class TestSeedDerivation:

@@ -23,9 +23,6 @@ from critgames.heuristics import (
     load_histogram,
     normalized,
     parse_heuristic,
-    perfect,
-    playout_l1,
-    playout_linf,
     save_histogram,
 )
 from critgames.tree_model import MINUS, PLUS, GameParams, Player, player_at
@@ -43,15 +40,15 @@ def ctx_for(value, player=Player.MAX, depth=0, gamma=1.0, b=2, d_max=4):
 
 class TestPerfect:
     def test_plus_is_one(self):
-        assert evaluate(perfect(), ctx_for(PLUS), Random(0)) == 1.0
+        assert evaluate(HeuristicSpec("perfect"), ctx_for(PLUS), Random(0)) == 1.0
 
     def test_minus_is_zero(self):
-        assert evaluate(perfect(), ctx_for(MINUS), Random(0)) == 0.0
+        assert evaluate(HeuristicSpec("perfect"), ctx_for(MINUS), Random(0)) == 0.0
 
     def test_separation_is_total(self):
         rng = Random(7)
-        plus = [evaluate(perfect(), ctx_for(PLUS), rng) for _ in range(200)]
-        minus = [evaluate(perfect(), ctx_for(MINUS), rng) for _ in range(200)]
+        plus = [evaluate(HeuristicSpec("perfect"), ctx_for(PLUS), rng) for _ in range(200)]
+        minus = [evaluate(HeuristicSpec("perfect"), ctx_for(MINUS), rng) for _ in range(200)]
         assert min(plus) >= max(minus)
 
 
@@ -77,38 +74,40 @@ class TestGaussian:
         assert sum(minus) / len(minus) < 0.2
 
     def test_negative_sigma_rejected(self):
-        for sigma in (-0.1, math.nan):
-            with pytest.raises(ValueError, match="sigma must be >= 0"):
+        # and an infinite one: a draw u = 1 gives inf * 0, NaN in numpy, 0.0 in the scalar scorer
+        for sigma in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma must be >= 0 and finite"):
                 gaussian(sigma)
 
 
 class TestPlayouts:
     def test_linf_terminal_minus_is_zero(self):
         ctx = ctx_for(MINUS, depth=4, d_max=4)
-        assert evaluate(playout_linf(), ctx, Random(0)) == 0.0
+        assert evaluate(HeuristicSpec("playout-linf"), ctx, Random(0)) == 0.0
 
     def test_linf_depth_two_remaining(self):
         # gamma=1, b=2, +1 Max node, two levels left: density 0.75
         ctx = ctx_for(PLUS, depth=2, d_max=4)
-        assert evaluate(playout_linf(), ctx, Random(0)) == pytest.approx(0.75, abs=1e-12)
+        value = evaluate(HeuristicSpec("playout-linf"), ctx, Random(0))
+        assert value == pytest.approx(0.75, abs=1e-12)
 
     def test_linf_deterministic(self):
         ctx = ctx_for(MINUS, player=Player.MIN, depth=1, gamma=0.7, b=3, d_max=6)
-        values = {evaluate(playout_linf(), ctx, Random(seed)) for seed in range(20)}
+        values = {evaluate(HeuristicSpec("playout-linf"), ctx, Random(seed)) for seed in range(20)}
         assert len(values) == 1
 
     def test_l1_is_bernoulli(self):
         ctx = ctx_for(PLUS, depth=2, d_max=4)
         rng = Random(5)
-        draws = {evaluate(playout_l1(), ctx, rng) for _ in range(500)}
+        draws = {evaluate(HeuristicSpec("playout-l1"), ctx, rng) for _ in range(500)}
         assert draws == {0.0, 1.0}
 
     def test_l1_mean_matches_linf(self):
         ctx = ctx_for(PLUS, depth=1, player=Player.MIN, gamma=0.8, b=3, d_max=5)
-        target = evaluate(playout_linf(), ctx, Random(0))
+        target = evaluate(HeuristicSpec("playout-linf"), ctx, Random(0))
         rng = Random(42)
         n = 100_000
-        mean = sum(evaluate(playout_l1(), ctx, rng) for _ in range(n)) / n
+        mean = sum(evaluate(HeuristicSpec("playout-l1"), ctx, rng) for _ in range(n)) / n
         assert abs(mean - target) <= 0.01
 
 
@@ -262,7 +261,9 @@ class TestParseHeuristic:
         assert parse_heuristic("gaussian").sigma == 0.3
         assert parse_heuristic("gaussian:0.5").sigma == 0.5
         assert parse_heuristic("playout-l1").kind == "playout-l1"
-        assert parse_heuristic("playout_linf").kind == "playout-linf"
+        assert parse_heuristic("playout-linf").kind == "playout-linf"
+        with pytest.raises(ValueError, match="unknown heuristic"):
+            parse_heuristic("playout_linf")  # aliases are refused, not folded
         spec = parse_heuristic("histogram:chess_p10_light")
         assert spec.kind == "histogram"
         assert spec.histogram.label == "chess_p10_light"
@@ -271,7 +272,7 @@ class TestParseHeuristic:
         assert parse_heuristic(f"histogram:{path}").histogram.bin_count == 2
 
     def test_labels(self):
-        assert perfect().label == "perfect"
+        assert HeuristicSpec("perfect").label == "perfect"
         assert gaussian(0.25).label == "gaussian(0.25)"
         assert parse_heuristic("histogram:chess_p10_heavy").label == "hist:chess_p10_heavy"
 
@@ -317,6 +318,13 @@ class TestParseHeuristic:
         for text in ("nope", "histogram", "histogram:missing_name", "gaussian:x"):
             with pytest.raises(ValueError):
                 parse_heuristic(text)
+        # one spelling per kind: no alias, letter case, stray space or extra argument
+        for text in ("hist:chess_p10_light", "HISTOGRAM:chess_p10_light",
+                     " histogram:chess_p10_light", "Gaussian", "gaussian:", "gaussian: 0.3",
+                     "gaussian:0.3 ", "perfect:junk", "playout_l1", "Playout_L1:7",
+                     "playout-linf:2"):
+            with pytest.raises(ValueError, match="unknown heuristic"):
+                parse_heuristic(text)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -343,16 +351,17 @@ class TestRangeInvariant:
 
 
 SCORER_SPECS = [
-    perfect(),
+    HeuristicSpec("perfect"),
     gaussian(0.3),
     gaussian(0.0),
+    gaussian(0.05),
     gaussian(2.0),
     histogram(bundled_histogram("chess_p10_light")),
     # interior and trailing zero-weight bins
     histogram(HistogramPdf(normalized([0, 3, 0, 1, 2, 0, 0]), normalized([1, 0, 0, 2, 0, 1, 0]))),
     histogram(HistogramPdf(ROUNDED_BELOW_ONE, ROUNDED_BELOW_ONE[::-1])),
-    playout_l1(),
-    playout_linf(),
+    HeuristicSpec("playout-l1"),
+    HeuristicSpec("playout-linf"),
 ]
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from critgames import search_minimax
 from critgames.bitmix import KeyedDraws, eval_key
-from critgames.heuristics import EvalContext, evaluate, gaussian, parse_heuristic, perfect
+from critgames.heuristics import EvalContext, HeuristicSpec, evaluate, gaussian, parse_heuristic
 from critgames.search_minimax import (
     MinimaxConfig,
     alphabeta,
@@ -18,6 +18,8 @@ from critgames.search_minimax import (
 )
 from critgames.search_uct import UctConfig, uct_search
 from critgames.tree_model import ENUM_CAP, MINUS, PLUS, GameParams, node_meta, walk
+
+PERFECT = HeuristicSpec("perfect")
 
 
 def make_params(b=2, gamma=1.0, d_max=8, seed=1):
@@ -34,41 +36,41 @@ def frontier_eval(params, path, cfg):
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            MinimaxConfig(0, perfect(), seed=1)
+            MinimaxConfig(0, PERFECT, seed=1)
         with pytest.raises(ValueError):
-            MinimaxConfig(1, perfect(), seed=-1)
+            MinimaxConfig(1, PERFECT, seed=-1)
 
     def test_terminal_root_rejected(self):
         params = make_params(d_max=2)
         with pytest.raises(ValueError):
-            alphabeta(params, (0, 0), MinimaxConfig(1, perfect(), seed=1))
+            alphabeta(params, (0, 0), MinimaxConfig(1, PERFECT, seed=1))
 
     def test_reference_cap(self):
         params = make_params(b=3, d_max=30)
         with pytest.raises(ValueError):
-            minimax_reference(params, (), MinimaxConfig(15, perfect(), seed=1))
+            minimax_reference(params, (), MinimaxConfig(15, PERFECT, seed=1))
 
 
 class TestSmallOracles:
     def test_depth_one_perfect_finds_winning_child(self):
         for seed in range(40):
             params = make_params(seed=seed)
-            res = alphabeta(params, (), MinimaxConfig(1, perfect(), seed=5))
+            res = alphabeta(params, (), MinimaxConfig(1, PERFECT, seed=5))
             assert res.best_action in node_meta(params, ()).optimal_moves
 
     def test_gamma_zero_value_one(self):
         params = make_params(gamma=0.0, seed=3)
         for depth in (1, 3, 5):
-            res = alphabeta(params, (), MinimaxConfig(depth, perfect(), seed=2))
+            res = alphabeta(params, (), MinimaxConfig(depth, PERFECT, seed=2))
             assert res.value == 1.0
 
     def test_full_depth_perfect_reads_true_value(self):
         params = make_params(d_max=4, seed=11)
-        res = alphabeta(params, (), MinimaxConfig(4, perfect(), seed=0))
+        res = alphabeta(params, (), MinimaxConfig(4, PERFECT, seed=0))
         assert res.value == 1.0  # the root is always a win for Max
         # a losing child read to the end scores 0
         losing = [i for i in range(2) if walk(params, (i,)).value == MINUS]
-        res_child = alphabeta(params, (losing[0],), MinimaxConfig(3, perfect(), seed=0))
+        res_child = alphabeta(params, (losing[0],), MinimaxConfig(3, PERFECT, seed=0))
         assert res_child.value == 0.0
 
     def test_depth_one_is_extremum_of_frontier(self):
@@ -277,7 +279,7 @@ class TestMinimaxDecisions:
     def test_ties_go_to_the_lowest_index(self):
         # gamma 0: every node is +1 and the perfect evaluator ties all children
         params = make_params(b=4, gamma=0.0, d_max=6, seed=3)
-        assert minimax_decisions(params, (1, 2, 3), perfect(), 0) == {1: 0, 2: 0, 3: 0}
+        assert minimax_decisions(params, (1, 2, 3), PERFECT, 0) == {1: 0, 2: 0, 3: 0}
 
     def test_depths_in_any_order(self):
         params = make_params(b=3, gamma=0.7, d_max=4, seed=8)
@@ -290,11 +292,11 @@ class TestMinimaxDecisions:
     def test_validation(self):
         params = make_params(b=10, d_max=50)
         with pytest.raises(ValueError, match="depth must be an integer >= 1"):
-            minimax_decisions(params, (0, 2), perfect(), 1)
+            minimax_decisions(params, (0, 2), PERFECT, 1)
         with pytest.raises(ValueError, match="seed must be an integer"):
-            minimax_decisions(params, (1,), perfect(), -1)
+            minimax_decisions(params, (1,), PERFECT, -1)
         with pytest.raises(ValueError, match=f"b\\^depth exceeds {ENUM_CAP}"):
-            minimax_decisions(params, (1, 7), perfect(), 1)
+            minimax_decisions(params, (1, 7), PERFECT, 1)
         # past max_depth the frontier stops at the terminal level, within the cap
         shallow = make_params(b=10, d_max=2)
         decisions = minimax_decisions(shallow, (2, 50), gaussian(0.3), 1)

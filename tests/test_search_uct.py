@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critgames import search_uct
-from critgames.heuristics import gaussian, parse_heuristic, perfect, playout_l1
+from critgames.heuristics import HeuristicSpec, gaussian, parse_heuristic
 from critgames.search_uct import (
     BreadthFirstReport,
     UctConfig,
@@ -23,6 +23,7 @@ from critgames.search_uct import (
 )
 from critgames.tree_model import GameParams, Player, node_meta, node_value, walk
 
+PERFECT = HeuristicSpec("perfect")
 LIGHT = parse_heuristic("histogram:chess_p10_light")
 
 
@@ -50,30 +51,30 @@ class TestUcbScore:
 
 class TestUctConfig:
     def test_defaults_checkpoint_to_budget(self):
-        cfg = UctConfig(1.0, 50, perfect(), seed=0)
+        cfg = UctConfig(1.0, 50, PERFECT, seed=0)
         assert cfg.checkpoints == (50,)
 
     def test_validation(self):
         for c in (-0.1, math.nan):
             with pytest.raises(ValueError, match="exploration constant must be >= 0"):
-                UctConfig(c, 10, perfect(), seed=0)
+                UctConfig(c, 10, PERFECT, seed=0)
         with pytest.raises(ValueError):
-            UctConfig(1.0, 0, perfect(), seed=0)
+            UctConfig(1.0, 0, PERFECT, seed=0)
         with pytest.raises(ValueError):
-            UctConfig(1.0, 10, perfect(), seed=2**64)
+            UctConfig(1.0, 10, PERFECT, seed=2**64)
         with pytest.raises(ValueError):
-            UctConfig(1.0, 10, perfect(), seed=0, checkpoints=(5, 5))
+            UctConfig(1.0, 10, PERFECT, seed=0, checkpoints=(5, 5))
         with pytest.raises(ValueError):
-            UctConfig(1.0, 10, perfect(), seed=0, checkpoints=(5, 3))
+            UctConfig(1.0, 10, PERFECT, seed=0, checkpoints=(5, 3))
         with pytest.raises(ValueError):
-            UctConfig(1.0, 10, perfect(), seed=0, checkpoints=(11,))
+            UctConfig(1.0, 10, PERFECT, seed=0, checkpoints=(11,))
         with pytest.raises(ValueError):
-            UctConfig(1.0, 10, perfect(), seed=0, checkpoints=(0, 10))
+            UctConfig(1.0, 10, PERFECT, seed=0, checkpoints=(0, 10))
 
 
 class TestDegenerateBudget:
     def test_single_iteration_tree(self):
-        res = uct_search(make_params(), UctConfig(1.0, 1, perfect(), seed=3))
+        res = uct_search(make_params(), UctConfig(1.0, 1, PERFECT, seed=3))
         assert res.node_count == 1
         assert res.depth_histogram == (1,)
         assert res.breadth_first == BreadthFirstReport(True, 0)
@@ -83,7 +84,7 @@ class TestDegenerateBudget:
         params = make_params(b=3)
         counts = [0, 0, 0]
         for seed in range(240):
-            res = uct_search(params, UctConfig(1.0, 1, perfect(), seed=seed))
+            res = uct_search(params, UctConfig(1.0, 1, PERFECT, seed=seed))
             counts[res.final_action] += 1
         assert min(counts) > 40
 
@@ -94,14 +95,14 @@ class TestGrowthAndConservation:
         # exploration large enough that no subtree is revisited while
         # untracked nodes remain anywhere
         for n, expected in ((1, 1), (5, 5), (7, 7), (50, 7)):
-            res = uct_search(params, UctConfig(100.0, n, perfect(), seed=2))
+            res = uct_search(params, UctConfig(100.0, n, PERFECT, seed=2))
             assert res.node_count == expected
 
     def test_revisits_can_precede_saturation(self):
         # greedy search locks onto the winning subtree and replays its
         # terminals while the losing subtree stays unexpanded
         params = make_params(d_max=2)
-        res = uct_search(params, UctConfig(0.8, 7, perfect(), seed=2))
+        res = uct_search(params, UctConfig(0.8, 7, PERFECT, seed=2))
         assert res.node_count < 7
         assert check_conservation(res.tree)
 
@@ -163,7 +164,8 @@ class TestGrowthAndConservation:
     @settings(max_examples=40, deadline=None)
     def test_invariants_random_configs(self, b, gamma, d_max, budget, seed):
         params = make_params(b=b, gamma=gamma, d_max=d_max, seed=seed)
-        res = uct_search(params, UctConfig(0.7, budget, playout_l1(), seed=seed ^ 99))
+        cfg = UctConfig(0.7, budget, HeuristicSpec("playout-l1"), seed=seed ^ 99)
+        res = uct_search(params, cfg)
         assert check_conservation(res.tree)
         assert res.node_count <= budget
         assert res.tree.root.n == budget
@@ -223,7 +225,7 @@ class TestCheckpoints:
         # exact rewards and no exploration bonus: equal UCB scores are the
         # rule, so the keyed tie-breaks decide most selections
         params = make_params(b=3, gamma=0.9, d_max=8, seed=31)
-        assert_checkpoints_match_solo_runs(params, 0.0, perfect(), 5, (10, 50, 200))
+        assert_checkpoints_match_solo_runs(params, 0.0, PERFECT, 5, (10, 50, 200))
 
     @given(
         st.integers(min_value=2, max_value=4),
@@ -235,11 +237,11 @@ class TestCheckpoints:
     @settings(max_examples=40, deadline=None)
     def test_prefix_run_equals_checkpoint(self, b, c, budget, extra, seed):
         params = make_params(b=b, gamma=0.8, d_max=6, seed=seed)
-        assert_checkpoints_match_solo_runs(params, c, perfect(), seed, (budget, budget + extra))
+        assert_checkpoints_match_solo_runs(params, c, PERFECT, seed, (budget, budget + extra))
 
     def test_action_at_lookup(self):
         params = make_params()
-        res = uct_search(params, UctConfig(1.0, 30, perfect(), seed=1, checkpoints=(5, 30)))
+        res = uct_search(params, UctConfig(1.0, 30, PERFECT, seed=1, checkpoints=(5, 30)))
         assert res.action_at(5) == res.checkpoints[0].action
         with pytest.raises(KeyError):
             res.action_at(7)
@@ -251,7 +253,7 @@ class TestDecisionQuality:
         for seed in range(30):
             params = make_params(d_max=2, seed=seed)
             optimal = node_meta(params, ()).optimal_moves
-            res = uct_search(params, UctConfig(0.5, 200, perfect(), seed=seed + 1000))
+            res = uct_search(params, UctConfig(0.5, 200, PERFECT, seed=seed + 1000))
             correct += res.final_action in optimal
         assert correct == 30
 
@@ -260,7 +262,7 @@ class TestDecisionQuality:
         for seed in range(100):
             params = make_params(d_max=1, seed=seed)
             optimal = node_meta(params, ()).optimal_moves
-            res = uct_search(params, UctConfig(1.0, 100, perfect(), seed=seed))
+            res = uct_search(params, UctConfig(1.0, 100, PERFECT, seed=seed))
             hits += res.final_action in optimal
         assert hits == 100
 
@@ -269,7 +271,7 @@ class TestDecisionQuality:
         for seed in range(200):
             params = make_params(d_max=4, seed=seed)
             optimal = node_meta(params, ()).optimal_moves
-            res = uct_search(params, UctConfig(1.0, 1_000, perfect(), seed=seed))
+            res = uct_search(params, UctConfig(1.0, 1_000, PERFECT, seed=seed))
             correct += res.final_action in optimal
         assert correct / 200 >= 0.95
 
@@ -277,7 +279,7 @@ class TestDecisionQuality:
 class TestBreadthFirst:
     def test_pure_exploitation_fails_check(self):
         params = make_params(d_max=6, seed=3)
-        res = uct_search(params, UctConfig(0.0, 300, perfect(), seed=9))
+        res = uct_search(params, UctConfig(0.0, 300, PERFECT, seed=9))
         assert not res.breadth_first.holds
         assert res.breadth_first.max_sibling_gap > 1
 
@@ -297,11 +299,11 @@ class TestBreadthFirst:
 
 def test_numpy_seeds_equal_int_seeds_without_warnings():
     tree_seed, search_seed = 2**63 + 12345, 2**64 - 3
-    ints = GameParams(2, 0.7, 12, tree_seed), UctConfig(0.5, 300, perfect(), search_seed)
+    ints = GameParams(2, 0.7, 12, tree_seed), UctConfig(0.5, 300, PERFECT, search_seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         params = GameParams(2, 0.7, 12, np.uint64(tree_seed))
-        cfg = UctConfig(0.5, 300, perfect(), np.uint64(search_seed))
+        cfg = UctConfig(0.5, 300, PERFECT, np.uint64(search_seed))
         assert params == ints[0] and cfg == ints[1]
         for path in [(), (0,), (1, 0, 1), (1, 1, 0, 0, 1)]:
             assert node_value(params, path) == node_value(ints[0], path)
