@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import bitmix
 from .heuristics import HeuristicSpec, parse_heuristic
 from .search_minimax import MinimaxConfig, alphabeta, minimax_decisions
-from .search_uct import SearchResult, UctConfig, uct_search
+from .search_uct import SearchResult, UctConfig, checked_exploration, uct_search
 from .tree_model import GameParams, node_meta, within_cap
 
 _TREE_TAG = 0xB5297A4D3F84D5A9
@@ -34,12 +34,19 @@ _SEARCH_TAG = 0x68E31DA4DBB3C2B1
 CSV_HEADER = "gamma,b,c,heuristic,algo,budget,delta,se,pathology_index"
 
 
+_BLOCK_LEAVES = 2**13  # frontier leaves per full-width block: its arrays stay in cache
+
+
 def _build_uct(c: float, budgets: tuple[int, ...], heuristic: HeuristicSpec):
     UctConfig(c, budgets[-1], heuristic, 0, checkpoints=budgets)
 
-    def decide(params: GameParams, search_seed: int) -> dict[int, int]:
-        cfg = UctConfig(c, budgets[-1], heuristic, search_seed, checkpoints=budgets)
-        return {r.iteration: r.action for r in uct_search(params, cfg).checkpoints}
+    def decide(trees: Sequence[tuple[GameParams, int]]) -> list[dict[int, int]]:
+        return [
+            {r.iteration: r.action for r in uct_search(
+                params, UctConfig(c, budgets[-1], heuristic, search_seed, checkpoints=budgets)
+            ).checkpoints}
+            for params, search_seed in trees
+        ]
 
     return decide
 
@@ -47,28 +54,40 @@ def _build_uct(c: float, budgets: tuple[int, ...], heuristic: HeuristicSpec):
 def _build_alphabeta(c: float, budgets: tuple[int, ...], heuristic: HeuristicSpec):
     """Alpha-beta decisions per tree and depth; c is only a label.
 
-    Depths d with b^d within `tree_model.ENUM_CAP` are decided together
-    by one full-width pass over the tree; each deeper depth by one
-    alpha-beta search. Both give alpha-beta's action.
+    Depths d with b^d within `tree_model.ENUM_CAP` are decided together,
+    for a block of trees at a time, by one full-width pass over the
+    block; a block holds at most `_BLOCK_LEAVES` frontier leaves, or one
+    tree. Each deeper depth runs one alpha-beta search per tree. Both
+    give alpha-beta's action.
     """
+    checked_exploration(c)
     for depth in budgets:
         MinimaxConfig(depth, heuristic, 0)
 
-    def decide(params: GameParams, search_seed: int) -> dict[int, int]:
+    def decide(trees: Sequence[tuple[GameParams, int]]) -> list[dict[int, int]]:
+        if not trees:
+            return []
+        params = trees[0][0]  # a cell's trees share b and max_depth
         b = params.branching_factor
         wide = [depth for depth in budgets if within_cap(b, depth)]
-        actions = minimax_decisions(params, wide, heuristic, search_seed) if wide else {}
-        for depth in budgets[len(wide):]:  # budgets ascend, so the wide ones come first
-            cfg = MinimaxConfig(depth, heuristic, search_seed)
-            actions[depth] = alphabeta(params, (), cfg).best_action
+        per_block = max(1, _BLOCK_LEAVES // b ** min(max(wide, default=0), params.max_depth))
+        actions: list[dict[int, int]] = []
+        for lo in range(0, len(trees), per_block):
+            block = trees[lo : lo + per_block]
+            actions += minimax_decisions(block, wide, heuristic) if wide else [{} for _ in block]
+        for (tree, search_seed), tree_actions in zip(trees, actions):
+            for depth in budgets[len(wide):]:  # budgets ascend, so the wide ones come first
+                cfg = MinimaxConfig(depth, heuristic, search_seed)
+                tree_actions[depth] = alphabeta(tree, (), cfg).best_action
         return actions
 
     return decide
 
 
 #: algorithm name -> builder(c, budgets, heuristic), which checks a cell's
-#: settings and returns decide(params, search_seed) -> {budget: action};
-#: decide reads the searches as module attributes each time it runs
+#: settings and returns decide(trees) -> [{budget: action}, ...], one dict
+#: per (params, search_seed) pair of a cell's tree slice; decide reads the
+#: searches as module attributes each time it runs
 DECIDERS: dict[str, Callable] = {"uct": _build_uct, "alphabeta": _build_alphabeta}
 
 
@@ -110,7 +129,11 @@ class GridSpec:
                            for text, h in zip(self.heuristics, specs)),
         }
         for name, values in forms.items():
-            object.__setattr__(self, name, tuple(values))
+            values = tuple(values)
+            for i, value in enumerate(values):
+                if value in values[:i]:  # one cell would run more than once
+                    raise ValueError(f"{name} lists {value!r} more than once")
+            object.__setattr__(self, name, values)
         object.__setattr__(self, "max_depth", int(self.max_depth))
 
 
@@ -166,16 +189,18 @@ def cell_trees(
 def run_cell(
     cell: Cell, master_seed: int, tree_range: range | None = None
 ) -> list[dict[int, bool]]:
-    """Per-tree correctness records: one {budget: correct} dict per tree."""
+    """Per-tree correctness records: one {budget: correct} dict per tree,
+    from one call of the cell's decider on the whole slice."""
     decide = DECIDERS[cell.algorithm](
         cell.exploration, cell.budgets, parse_heuristic(cell.heuristic)
     )
-    trees = tree_range if tree_range is not None else range(cell.trees)
-    records = []
-    for params, optimal, search_seed in cell_trees(cell, master_seed, trees):
-        actions = decide(params, search_seed)
-        records.append({j: actions[j] in optimal for j in cell.budgets})
-    return records
+    tree_range = tree_range if tree_range is not None else range(cell.trees)
+    trees = list(cell_trees(cell, master_seed, tree_range))
+    actions = decide([(params, search_seed) for params, _, search_seed in trees])
+    return [
+        {j: tree_actions[j] in optimal for j in cell.budgets}
+        for (_, optimal, _), tree_actions in zip(trees, actions)
+    ]
 
 
 @dataclass(frozen=True)
@@ -215,28 +240,38 @@ def _run_task(task: tuple[Cell, int, range]) -> tuple[list, float]:
     return records, time.perf_counter() - t0
 
 
-def run_grid(spec: GridSpec, workers: int = 1) -> list[CellReport]:
-    """All cells of the grid, run as (cell, tree-slice) tasks: inline when
-    workers == 1, else over a process pool. Results return in task order,
-    so reports do not depend on the worker count; a cell's wall_time is
-    the measured sum of its slices' times."""
-    workers = bitmix.checked_int("workers", workers, 1)
+def grid_tasks(spec: GridSpec, workers: int) -> list[tuple[Cell, int, range]]:
+    """The grid's (cell, master seed, tree slice) tasks, in cell order.
+
+    Slices are cut from the whole grid, about four tasks per worker, and
+    a slice never spans two cells; every cell is cut at the same trees.
+    """
     grid = cells(spec)
-    chunk = max(1, math.ceil(spec.trees / (2 * workers)))
-    starts = range(0, spec.trees, chunk)
-    tasks = [
+    chunk = min(spec.trees, math.ceil(len(grid) * spec.trees / (4 * workers)))
+    return [
         (cell, spec.master_seed, range(a, min(a + chunk, spec.trees)))
         for cell in grid
-        for a in starts
+        for a in range(0, spec.trees, chunk)
     ]
+
+
+def run_grid(spec: GridSpec, workers: int = 1) -> list[CellReport]:
+    """All cells of the grid, run as `grid_tasks`: inline when workers ==
+    1, else over a process pool. Results return in task order, so reports
+    do not depend on the worker count; a cell's wall_time is the measured
+    sum of its slices' times."""
+    workers = bitmix.checked_int("workers", workers, 1)
+    tasks = grid_tasks(spec, workers)
     if workers == 1:
         results = list(map(_run_task, tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks))
+    grid = cells(spec)
+    per_cell = len(tasks) // len(grid)
     reports = []
     for ci, cell in enumerate(grid):
-        part = results[ci * len(starts) : (ci + 1) * len(starts)]
+        part = results[ci * per_cell : (ci + 1) * per_cell]
         records = [rec for batch, _ in part for rec in batch]
         reports.append(pathology_report(cell, records, sum(seconds for _, seconds in part)))
     return reports

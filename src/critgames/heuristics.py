@@ -10,7 +10,8 @@ Both searches score nodes through `frontier_scorer`, which keys the
 stream by (search seed, node state) and returns exactly what `evaluate`
 returns on ``KeyedDraws(eval_key(seed) ^ state)``; `evaluate` is the
 reference it is tested against. `frontier_scorer_np` scores a whole
-level of nodes at once, bit for bit as `frontier_scorer` does.
+level of one or many trees at once, bit for bit as `frontier_scorer`
+does.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import accumulate
-from math import cos, inf, log, pi, sqrt
+from math import ceil, cos, inf, log, pi, sqrt
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -33,6 +34,10 @@ from .tree_model import MINUS, PLUS, GameParams, Player, player_at, subtree_plus
 KINDS = ("perfect", "gaussian", "histogram", "playout-l1", "playout-linf")
 
 DEFAULT_SIGMA = 0.3
+
+_CELL_SHIFT = np.uint64(41)  # a merged draw key has 54 bits; its top 13 pick a bin-table cell
+_CLASS_SHIFT = np.uint64(53)
+_MANTISSA_SHIFT = np.uint64(11)
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,48 @@ class HistogramPdf:
         i = bisect_right(cum, u)
         low = cum[i - 1] if i else 0.0
         return (i + (u - low) / weights[i]) / len(weights)
+
+    @functools.cached_property
+    def _bin_table(self) -> tuple[np.ndarray, ...]:
+        """What `quantile_np` reads: thresholds, the cell table and per-bin terms.
+
+        Draw word h maps to the merged key ``(h >> 11) | plus << 53``. The
+        draw ``u = (h >> 11) * 2^-53`` reaches the running sum c exactly
+        when ``h >> 11 >= ceil(c * 2^53)``, so bin j of the merged classes
+        (-1 bins, then +1 bins) is the count of merged thresholds at or
+        below the key. The table holds that count for every 2^41-key cell
+        that no threshold splits, and -1 for the others.
+        """
+        scale = 2.0**53
+        thresholds = np.array(
+            [ceil(c * scale) for c in self._minus_cum]
+            + [ceil(c * scale) + 2**53 for c in self._plus_cum],
+            dtype=np.uint64,
+        )
+        lows = np.arange(2**13, dtype=np.uint64) << _CELL_SHIFT
+        first = np.searchsorted(thresholds, lows, side="right")
+        last = np.searchsorted(thresholds, lows + np.uint64(2**41 - 1), side="right")
+        table = np.where(first == last, first, -1)
+        bins = np.arange(self.bin_count, dtype=np.float64)
+        below = [np.asarray((0.0,) + cum[:-1]) for cum in (self._minus_cum, self._plus_cum)]
+        return (
+            thresholds, table, np.concatenate((bins, bins)), np.concatenate(below),
+            np.asarray(self.minus_weights + self.plus_weights),
+        )
+
+    def quantile_np(self, plus: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """``quantile(PLUS if plus else MINUS, unit(h))`` for each +1 flag and
+        uint64 draw word, bit for bit: the bin comes from one table lookup,
+        or a search in the few table cells that a bin edge splits, and the
+        arithmetic repeats `quantile`'s in its order."""
+        thresholds, table, bins, below, weights = self._bin_table
+        m = h >> _MANTISSA_SHIFT
+        key = m | (plus.astype(np.uint64) << _CLASS_SHIFT)
+        j = table[key >> _CELL_SHIFT]
+        split = np.flatnonzero(j < 0)
+        j[split] = np.searchsorted(thresholds, key[split], side="right")
+        u = m.astype(np.float64) * 2.0**-53  # unit(h), exactly
+        return (bins[j] + (u - below[j]) / weights[j]) / self.bin_count
 
     def sample(self, value_class: int, rng: Random) -> float:
         """Inverse-CDF draw from the class distribution."""
@@ -236,28 +283,47 @@ def frontier_scorer(
     return score
 
 
-def frontier_scorer_np(
-    spec: HeuristicSpec, params: GameParams, key: int
-) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
-    """score(depth, plus, states): `frontier_scorer` over a whole level.
+def cosine_negative(angles: np.ndarray) -> np.ndarray:
+    """``math.cos(x) < 0`` for each double x in [0, 2*pi), exactly.
 
-    `plus` flags the +1 nodes at `depth` and `states` holds their states;
-    the result is a float64 array, bit for bit the scalar scorer's value
-    at each node. The histogram quantile repeats `HistogramPdf.quantile`'s
-    arithmetic in its order. The Gaussian maps `math.cos` over the nodes,
-    and `math.log` over those its clip does not decide, because numpy's
-    log and cos may round differently; sqrt and the products are exactly
-    rounded either way.
+    The doubles pi/2 and 3*pi/2 lie just below the real zeros of the
+    cosine, and no double is a zero, so the sign flips between each of
+    them and the next double up.
+    """
+    return (angles > pi / 2) & (angles <= 3 * pi / 2)
+
+
+def frontier_scorer_np(
+    spec: HeuristicSpec, params: GameParams, keys: Sequence[int]
+) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
+    """score(depth, plus, states): `frontier_scorer` over a level of n trees.
+
+    `keys` holds one key per tree, and the level is seed-minor: node k
+    belongs to tree k % n, whose draw words are xored in as
+    ``states.reshape(-1, n) ^ words``. `plus` flags the +1 nodes at `depth`
+    and `states` holds their states; the result is a float64 array, bit
+    for bit the scalar scorer's value at each node under its tree's key.
+    The trees share `params` but for their seeds, which no score reads.
+    The histogram reads its bins through `HistogramPdf.quantile_np`. The
+    Gaussian takes the cosine's sign from `cosine_negative` and maps
+    `math.cos` and `math.log` over only the nodes whose clip that sign
+    leaves open, because numpy's log and cos may round differently; sqrt
+    and the products are exactly rounded either way.
     """
     max_depth = params.max_depth
-    word0, word1 = np.uint64(draw_word(key, 0)), np.uint64(draw_word(key, 1))
+    n = len(keys)
+    words = [np.array([draw_word(key, i) for key in keys], dtype=np.uint64) for i in (0, 1)]
     kind = spec.kind
 
     def utility(depth: int, plus: np.ndarray, states: np.ndarray) -> np.ndarray:
         return plus.astype(np.float64)
 
-    def draws(states: np.ndarray, word: np.uint64) -> np.ndarray:
-        return unit_np(mix64_inplace(states ^ word))
+    def keyed(states: np.ndarray, index: int) -> np.ndarray:
+        """Each state xored with its tree's word for draw `index`, flat."""
+        return (states.reshape(-1, n) ^ words[index]).reshape(-1)
+
+    def draws(states: np.ndarray, index: int) -> np.ndarray:
+        return unit_np(mix64_inplace(keyed(states, index)))
 
     if kind == "perfect":  # terminal or not, the true utility
         return utility
@@ -265,36 +331,24 @@ def frontier_scorer_np(
         sigma = spec.sigma
 
         def noisy(depth: int, plus: np.ndarray, states: np.ndarray) -> np.ndarray:
-            cosines = np.fromiter(map(cos, (2.0 * pi * draws(states, word1)).tolist()), np.float64)
-            out = plus.astype(np.float64)
+            angles = 2.0 * pi * draws(states, 1)
             # the noise has the cosine's sign; noise >= 0 clips a +1 node to 1 and
-            # noise <= 0 a -1 node to 0, so only the other nodes need a log
-            live = np.flatnonzero(np.where(plus, cosines < 0.0, cosines > 0.0))
-            logs = np.fromiter(map(log, (1.0 - draws(states[live], word0)).tolist()), np.float64)
-            noise = sigma * np.sqrt(-2.0 * logs) * cosines[live]
+            # noise <= 0 a -1 node to 0, so only the other nodes need cos and log
+            live = np.flatnonzero(cosine_negative(angles) == plus)
+            cosines = np.fromiter(map(cos, angles[live].tolist()), np.float64, live.size)
+            u = unit_np(mix64_inplace(keyed(states, 0)[live]))
+            logs = np.fromiter(map(log, (1.0 - u).tolist()), np.float64, live.size)
+            out = plus.astype(np.float64)
+            noise = sigma * np.sqrt(-2.0 * logs) * cosines
             out[live] = np.minimum(1.0, np.maximum(0.0, out[live] + noise))
             return out
 
     elif kind == "histogram":
         assert spec.histogram is not None
-        pdf = spec.histogram
-        # per class: running sums, the sum below each bin, and the weights
-        tables = [
-            (where, np.asarray(cum), np.asarray((0.0,) + cum), np.asarray(weights))
-            for where, cum, weights in (
-                (False, pdf._minus_cum, pdf.minus_weights), (True, pdf._plus_cum, pdf.plus_weights)
-            )
-        ]
+        quantile_np = spec.histogram.quantile_np
 
         def noisy(depth: int, plus: np.ndarray, states: np.ndarray) -> np.ndarray:
-            u = draws(states, word0)
-            out = np.empty(u.size, dtype=np.float64)
-            for where, cum, low, weights in tables:
-                mask = plus == where
-                uc = u[mask]
-                i = np.searchsorted(cum, uc, side="right")
-                out[mask] = (i + (uc - low[i]) / weights[i]) / pdf.bin_count
-            return out
+            return quantile_np(plus, mix64_inplace(keyed(states, 0)))
 
     else:  # the playout kinds
 
@@ -306,7 +360,7 @@ def frontier_scorer_np(
             density = np.where(plus, plus_density, minus_density)
             if kind == "playout-linf":
                 return density
-            return (draws(states, word0) < density).astype(np.float64)
+            return (draws(states, 0) < density).astype(np.float64)
 
     def score(depth: int, plus: np.ndarray, states: np.ndarray) -> np.ndarray:
         return (utility if depth >= max_depth else noisy)(depth, plus, states)

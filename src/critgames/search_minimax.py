@@ -18,9 +18,9 @@ loop, where ties go to the lowest index. Below the root, `alphabeta`
 recurses on (depth, value, state) integers and applies the growth rule's
 two parts directly; `minimax_reference` walks `NodeCursor` objects, so
 comparing the two checks one against the other. `minimax_decisions`
-grows whole levels with `tree_model.LevelStep`, scores them with
-`heuristics.frontier_scorer_np` and backs up with numpy max and min;
-it returns only the root decisions, which equal alpha-beta's.
+grows whole levels of many trees with `tree_model.LevelStep`, scores
+them with `heuristics.frontier_scorer_np` and backs up with numpy max
+and min; it returns only the root decisions, which equal alpha-beta's.
 """
 
 from __future__ import annotations
@@ -129,27 +129,37 @@ def minimax_reference(params: GameParams, path: Sequence[int], cfg: MinimaxConfi
 
 
 def minimax_decisions(
-    params: GameParams, depths: Iterable[int], heuristic: HeuristicSpec, seed: int
-) -> dict[int, int]:
-    """{d: alphabeta(params, (), MinimaxConfig(d, heuristic, seed)).best_action}
-    for each d in `depths`, from one full-width expansion of the tree.
+    trees: Sequence[tuple[GameParams, int]], depths: Iterable[int], heuristic: HeuristicSpec
+) -> list[dict[int, int]]:
+    """For each (params, seed) in `trees`, {d: alphabeta(params, (),
+    MinimaxConfig(d, heuristic, seed)).best_action} for each d in `depths`,
+    from one full-width expansion of all the trees together.
 
-    The tree grows from the root level by level in numpy (`LevelStep`).
-    Each depth's frontier level is scored as it is reached and backed up
-    at once, by max on Max levels and min on Min levels; the root takes
-    the first child of highest value, as `_root_search` does. Backed-up
-    minimax values equal alpha-beta's exactly, so the actions do too.
-    The deepest frontier must pass `checked_span`.
+    The trees must differ only in their seeds. They grow from their roots
+    level by level in numpy (`LevelStep`), seed-minor as in
+    `tree_model._profile_for_seeds`: node k of a level belongs to tree
+    k % n. Each depth's frontier level is scored as it is reached and
+    backed up at once, by max on Max levels and min on Min levels; each
+    root takes the first child of highest value, as `_root_search` does.
+    Backed-up minimax values equal alpha-beta's exactly, so the actions do
+    too. The deepest frontier must pass `checked_span`; the caller bounds
+    the number of trees, since the widest level holds n * b^d nodes.
     """
-    depths = [MinimaxConfig(d, heuristic, seed).depth for d in depths]
-    b = params.branching_factor
+    depths = [MinimaxConfig(d, heuristic, 0).depth for d in depths]
+    seeds = [checked_int("seed", seed, 0, MASK64) for _, seed in trees]
+    if len({(p.branching_factor, p.critical_rate, p.max_depth) for p, _ in trees}) > 1:
+        raise ValueError("the trees of one pass must share b, gamma and max_depth")
+    if not trees:
+        return []
+    params = trees[0][0]
+    n, b = len(trees), params.branching_factor
     frontiers = {d: min(d, params.max_depth) for d in depths}
     scored = set(frontiers.values())
     last = checked_span(b, max(scored, default=0), "depth")
-    score = frontier_scorer_np(heuristic, params, eval_key(seed))
-    grow = LevelStep(b, params.critical_rate, b ** max(last - 1, 0))
-    states = root_state_np(np.array([params.seed], dtype=np.uint64))
-    plus = np.ones(1, dtype=bool)
+    score = frontier_scorer_np(heuristic, params, [eval_key(seed) for seed in seeds])
+    grow = LevelStep(b, params.critical_rate, n * b ** max(last - 1, 0))
+    states = root_state_np(np.array([p.seed for p, _ in trees], dtype=np.uint64))
+    plus = np.ones(n, dtype=bool)
     actions = {}
     for level in range(last):
         plus, states = grow(level, states, plus)
@@ -159,5 +169,5 @@ def minimax_decisions(
         for depth in range(level, 0, -1):  # the parents' depth
             values = values.reshape(b, -1)
             values = values.max(axis=0) if depth % 2 == 0 else values.min(axis=0)
-        actions[level + 1] = int(np.argmax(values))
-    return {d: actions[frontiers[d]] for d in depths}
+        actions[level + 1] = np.argmax(values.reshape(b, n), axis=0).tolist()
+    return [{d: actions[frontiers[d]][t] for d in depths} for t in range(n)]

@@ -30,6 +30,13 @@ from .heuristics import HeuristicSpec, frontier_scorer
 from .tree_model import GameParams, NodeCursor, Player, designated_child, grown_value
 
 
+def checked_exploration(c: float) -> float:
+    """`c` if it is an exploration constant >= 0, else a ValueError; NaN fails too."""
+    if not c >= 0:
+        raise ValueError(f"exploration constant must be >= 0, got {c!r}")
+    return c
+
+
 @dataclass(frozen=True)
 class UctConfig:
     exploration: float
@@ -39,8 +46,7 @@ class UctConfig:
     checkpoints: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.exploration >= 0:  # NaN fails too
-            raise ValueError(f"exploration constant must be >= 0, got {self.exploration!r}")
+        checked_exploration(self.exploration)
         for name, low, high in (("budget", 1, None), ("seed", 0, bitmix.MASK64)):
             object.__setattr__(self, name, bitmix.checked_int(name, getattr(self, name), low, high))
         cps = tuple(bitmix.checked_int("checkpoints", j, 1, self.budget) for j in self.checkpoints)

@@ -275,6 +275,20 @@ class TestConfigResolution:
             (("experiment", "--heuristics", "histogram:{bad}", "--trees", "1"),
              "cannot read histogram file {bad}"),
             (("theorem", "--N", "1" + "0" * 400), "iterations is too large"),
+            # alpha-beta reads c only as a label, and still refuses a bad one
+            (("experiment", "--algo", "alphabeta", "--explorations", "nan,-3", "--budgets", "2",
+              "--branchings", "2", "--max-depth", "4", "--trees", "1"),
+             "exploration constant must be >= 0, got nan"),
+            (("experiment", "--algo", "alphabeta", "--explorations", "-3", "--budgets", "2",
+              "--branchings", "2", "--max-depth", "4", "--trees", "1"),
+             "exploration constant must be >= 0, got -3.0"),
+            # a value that repeats once normalised would run one cell twice
+            (("experiment", "--gammas", "1,1.0", "--budgets", "10", "--branchings", "2",
+              "--explorations", "1", "--max-depth", "4", "--trees", "1"),
+             "gammas lists 1.0 more than once"),
+            (("experiment", "--algo", "alphabeta", "--heuristics", "gaussian,gaussian:0.3",
+              "--budgets", "2", "--branchings", "2", "--max-depth", "4", "--trees", "1"),
+             "heuristics lists 'gaussian:0.3' more than once"),
         ],
     )
     def test_bad_count_is_usage_error(self, capsys, tmp_path_factory, tmp_path, args, message):

@@ -18,6 +18,7 @@ from critgames.experiments import (
     cells,
     csv_lines,
     emit_results,
+    grid_tasks,
     manifest_lines,
     pathology_report,
     run_cell,
@@ -29,6 +30,7 @@ from critgames.experiments import (
 )
 from critgames.heuristics import parse_heuristic
 from critgames.search_minimax import MinimaxConfig, alphabeta
+from critgames.tree_model import GameParams
 
 
 def tiny_spec(**kw):
@@ -69,6 +71,27 @@ class TestGridSpec:
             tiny_spec(heuristics=("no-such-kind",))
         with pytest.raises(ValueError):
             tiny_spec(master_seed=2**64)
+
+    @pytest.mark.parametrize(
+        "axis, values, repeated",
+        [
+            ("gammas", (1, 1.0), "1.0"),
+            ("branchings", (2, 3, np.int64(2)), "2"),
+            ("explorations", (0.5, 2, 0.50), "0.5"),
+            ("heuristics", ("gaussian", "gaussian:0.3"), "'gaussian:0.3'"),
+        ],
+    )
+    def test_values_that_repeat_after_normalisation_are_refused(self, axis, values, repeated):
+        """Each would run one cell more than once."""
+        with pytest.raises(ValueError, match=re.escape(f"{axis} lists {repeated} more than once")):
+            tiny_spec(**{axis: values})
+
+    def test_alphabeta_checks_the_exploration_constant(self):
+        """c is only a label for alpha-beta, but a bad one is refused as for UCT."""
+        for c in (math.nan, -3.0):
+            for algorithm in ("uct", "alphabeta"):
+                with pytest.raises(ValueError, match="exploration constant must be >= 0"):
+                    tiny_spec(explorations=(0.5, c), algorithm=algorithm)
 
     def test_cells_cover_product(self):
         spec = tiny_spec(gammas=(0.5, 1.0), explorations=(0.1, 2.0))
@@ -203,9 +226,12 @@ class TestPathologyReport:
 def fair_coin(c, budgets, heuristic):
     """A DECIDERS builder drawing a uniform random action per budget."""
 
-    def decide(params, search_seed):
-        rng = Random(search_seed)
-        return {j: rng.randrange(params.branching_factor) for j in budgets}
+    def decide(trees):
+        actions = []
+        for params, search_seed in trees:
+            rng = Random(search_seed)
+            actions.append({j: rng.randrange(params.branching_factor) for j in budgets})
+        return actions
 
     return decide
 
@@ -241,7 +267,7 @@ class TestDeciders:
     def test_searches_looked_up_when_trees_run(self, monkeypatch):
         """Wrappers installed after import see every search: one per tree
         for UCT and, for alpha-beta depths within the cap, one full-width
-        pass per tree; and the CSV holds."""
+        pass per block of trees, here one per task; and the CSV holds."""
         for algorithm, budgets in (("uct", (5, 20)), ("alphabeta", (1, 2, 3))):
             spec = tiny_spec(
                 trees=6, budgets=budgets, max_depth=6, algorithm=algorithm, branchings=(2, 3)
@@ -252,8 +278,10 @@ class TestDeciders:
                 for name in SEARCHES:
                     patch.setattr(experiments, name, counting(name, getattr(experiments, name), calls))
                 counted = csv_lines(run_grid(spec, workers=1))
-            search = "uct_search" if algorithm == "uct" else "minimax_decisions"
-            assert calls == [search] * (len(cells(spec)) * spec.trees)
+            if algorithm == "uct":
+                assert calls == ["uct_search"] * (len(cells(spec)) * spec.trees)
+            else:  # at most 6 trees of 27 leaves per task: one block each
+                assert calls == ["minimax_decisions"] * len(grid_tasks(spec, 1))
             assert counted == plain
 
     def test_alphabeta_takes_the_depths_past_the_cap(self, monkeypatch):
@@ -283,6 +311,61 @@ class TestDeciders:
         for depth in (3, 19):
             cfg = MinimaxConfig(depth, parse_heuristic("gaussian:0.3"), search_seed)
             assert records[0][depth] == (alphabeta(params, (), cfg).best_action in optimal)
+
+    @pytest.mark.parametrize(
+        "b, budgets, max_depth, trees, blocks",
+        [
+            (2, (1, 3), 8, 1, [1]),  # one tree
+            (2, (2, 6), 8, 300, [128, 128, 44]),  # 2^6 leaves; 300 trees do not fill 3 blocks
+            (2, (4, 10), 12, 17, [8, 8, 1]),  # 2^10 leaves: 8 trees fill a block exactly
+            (3, (3, 8), 10, 3, [1, 1, 1]),  # 3^8 leaves: two trees would pass 2^13
+            (2, (5, 14), 20, 2, [1, 1]),  # 2^14 leaves: one tree alone passes 2^13
+            (2, (3, 12, 13), 10, 9, [8, 1]),  # past max_depth 10 the frontier has 2^10 leaves
+        ],
+    )
+    def test_blocks_decide_as_alphabeta(self, monkeypatch, b, budgets, max_depth, trees, blocks):
+        """A slice goes to the full-width pass in blocks of at most 2^13
+        frontier leaves (or one tree); every decision is alpha-beta's."""
+        rng = Random(f"{b}|{budgets}|{trees}")
+        heuristic = parse_heuristic("gaussian:0.3")
+        pairs = [(GameParams(b, 0.8, max_depth, rng.getrandbits(64)), rng.getrandbits(64))
+                 for _ in range(trees)]
+        sizes = []
+        search = experiments.minimax_decisions
+
+        def recorded(block, depths, spec):
+            sizes.append(len(block))
+            return search(block, depths, spec)
+
+        monkeypatch.setattr(experiments, "minimax_decisions", recorded)
+        decisions = DECIDERS["alphabeta"](0.5, budgets, heuristic)(pairs)
+        assert sizes == blocks
+        for (params, seed), actions in zip(pairs, decisions, strict=True):
+            assert actions == {
+                d: alphabeta(params, (), MinimaxConfig(d, heuristic, seed)).best_action
+                for d in budgets
+            }
+
+
+class TestGridTasks:
+    def test_slices_are_cut_from_the_whole_grid(self):
+        """About four tasks per worker, never more than one cell each."""
+        # criteria 3/4: 2 cells of 300 trees on 2 workers keep 75-tree slices
+        spec = tiny_spec(explorations=(0.5, 2.0), trees=300)
+        assert [len(t) for _, _, t in grid_tasks(spec, 2)] == [75] * 8
+        # the benchmark's alpha-beta grid: 20 cells of 10 trees run 20 one-cell tasks
+        spec = GridSpec(algorithm="alphabeta", gammas=(1.0,), branchings=(2, 3),
+                        heuristics=("histogram:chess_p10_light", "gaussian:0.3"),
+                        budgets=(2, 4, 6, 8), trees=10)
+        tasks = grid_tasks(spec, 2)
+        assert [(cell, t) for cell, _, t in tasks] == [(cell, range(10)) for cell in cells(spec)]
+        # uneven cuts cover each cell's trees once, in order
+        spec = tiny_spec(gammas=(0.5, 1.0), trees=7)
+        for workers in (1, 2, 3, 5):
+            tasks = grid_tasks(spec, workers)
+            for cell in cells(spec):
+                covered = [i for c, _, t in tasks if c == cell for i in t]
+                assert covered == list(range(7))
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critgames import heuristics
-from critgames.bitmix import MASK64, KeyedDraws
+from critgames.bitmix import MASK64, KeyedDraws, unit, unit_np
 from critgames.heuristics import (
     EvalContext,
     HeuristicSpec,
     HistogramPdf,
     bundled_histogram,
+    cosine_negative,
     evaluate,
     frontier_scorer,
     frontier_scorer_np,
@@ -31,6 +32,8 @@ from critgames.tree_model import MINUS, PLUS, GameParams, Player, player_at
 # eight normalized weights whose running sum ends at 1 - 2^-53, then an empty top bin
 _rng = Random(26)
 ROUNDED_BELOW_ONE = normalized([_rng.random() for _ in range(8)] + [0.0])
+# interior and trailing zero-weight bins
+ZERO_BINS = HistogramPdf(normalized([0, 3, 0, 1, 2, 0, 0]), normalized([1, 0, 0, 2, 0, 1, 0]))
 
 
 def ctx_for(value, player=Player.MAX, depth=0, gamma=1.0, b=2, d_max=4):
@@ -357,8 +360,7 @@ SCORER_SPECS = [
     gaussian(0.05),
     gaussian(2.0),
     histogram(bundled_histogram("chess_p10_light")),
-    # interior and trailing zero-weight bins
-    histogram(HistogramPdf(normalized([0, 3, 0, 1, 2, 0, 0]), normalized([1, 0, 0, 2, 0, 1, 0]))),
+    histogram(ZERO_BINS),
     histogram(HistogramPdf(ROUNDED_BELOW_ONE, ROUNDED_BELOW_ONE[::-1])),
     HeuristicSpec("playout-l1"),
     HeuristicSpec("playout-linf"),
@@ -409,9 +411,90 @@ class TestFrontierScorerNp:
         for _ in range(3):
             key = rng.getrandbits(64)
             scalar = frontier_scorer(spec, params, key)
-            vector = frontier_scorer_np(spec, params, key)
+            vector = frontier_scorer_np(spec, params, [key])
             for depth in (0, 1, 4, 5, 6):  # 6 is terminal
                 got = vector(depth, np.array(values) == PLUS, np.array(states, dtype=np.uint64))
                 assert got.dtype == np.float64 and got.shape == (len(states),)
                 want = [scalar(depth, v, s).hex() for v, s in zip(values, states)]
                 assert [x.hex() for x in got.tolist()] == want, (spec.label, depth)
+
+    @pytest.mark.parametrize("spec", SCORER_SPECS, ids=lambda spec: spec.label)
+    def test_many_trees_match_the_scalar_scorer_bit_for_bit(self, spec):
+        """Node k of a seed-minor level scores under tree k % n's key."""
+        rng = Random(f"trees|{spec.label}")
+        params = GameParams(2, 0.5, 6, seed=1)
+        keys = [rng.getrandbits(64) for _ in range(7)]
+        states = [rng.getrandbits(64) for _ in range(7 * 150)]
+        values = [rng.choice([PLUS, MINUS]) for _ in states]
+        vector = frontier_scorer_np(spec, params, keys)
+        scalars = [frontier_scorer(spec, params, key) for key in keys]
+        for depth in (0, 3, 6):  # 6 is terminal
+            got = vector(depth, np.array(values) == PLUS, np.array(states, dtype=np.uint64))
+            want = [scalars[k % len(keys)](depth, v, s).hex()
+                    for k, (v, s) in enumerate(zip(values, states))]
+            assert [x.hex() for x in got.tolist()] == want, (spec.label, depth)
+
+
+class TestCosineSign:
+    def test_exact_within_a_thousand_ulps_of_both_zeros(self):
+        for zero in (math.pi / 2, 3 * math.pi / 2):
+            below, above = [zero], [zero]
+            for _ in range(1000):
+                below.append(math.nextafter(below[-1], 0.0))
+                above.append(math.nextafter(above[-1], 7.0))
+            angles = below[::-1] + above[1:]
+            got = cosine_negative(np.array(angles)).tolist()
+            assert got == [math.cos(x) < 0 for x in angles]
+            assert got[1000] == (zero > 2.0)  # the double nearest each zero
+
+    def test_exact_on_random_angles(self):
+        # the scorer's angles: 2*pi times a unit draw
+        words = np.random.default_rng(23).integers(0, 2**64, 10**6, dtype=np.uint64)
+        angles = 2.0 * math.pi * unit_np(words)
+        got = cosine_negative(angles)
+        assert got.tolist() == [math.cos(x) < 0 for x in angles.tolist()]
+        assert 0.49 < got.mean() < 0.51
+
+
+class TestQuantileNp:
+    """The table-driven bin search against `HistogramPdf.quantile`."""
+
+    PDFS = [bundled_histogram("chess_p10_light"), bundled_histogram("chess_p10_heavy"),
+            ZERO_BINS, HistogramPdf(ROUNDED_BELOW_ONE, ROUNDED_BELOW_ONE[::-1])]
+
+    @staticmethod
+    def check(pdf, plus, mantissas, rng):
+        # unit(h) reads only h >> 11, so the low bits are noise
+        words = [(m << 11) | rng.getrandbits(11) for m in mantissas]
+        got = pdf.quantile_np(np.array(plus), np.array(words, dtype=np.uint64))
+        want = [pdf.quantile(PLUS if p else MINUS, unit(h)).hex() for p, h in zip(plus, words)]
+        assert [x.hex() for x in got.tolist()] == want
+
+    @pytest.mark.parametrize("pdf", PDFS, ids=lambda pdf: pdf.label)
+    def test_bit_for_bit_at_every_bin_edge(self, pdf):
+        """At each running sum c: the least draw at or above c (c itself when
+        c is a multiple of 2^-53), the draw just below it, and the draw at
+        or below the double just below c (the same draw when c >= 1/2)."""
+        rng = Random(pdf.label)
+        for plus, cum in ((True, pdf._plus_cum), (False, pdf._minus_cum)):
+            mantissas = [
+                m
+                for c in cum
+                for m in (math.ceil(c * 2.0**53) - 1, math.ceil(c * 2.0**53),
+                          math.floor(math.nextafter(c, 0.0) * 2.0**53))
+                if 0 <= m < 2**53
+            ]
+            self.check(pdf, [plus] * len(mantissas), mantissas, rng)
+
+    @pytest.mark.parametrize("pdf", PDFS, ids=lambda pdf: pdf.label)
+    def test_bit_for_bit_on_random_draws(self, pdf):
+        rng = Random(f"random|{pdf.label}")
+        plus = [rng.random() < 0.5 for _ in range(20_000)]
+        self.check(pdf, plus, [rng.getrandbits(53) for _ in plus], rng)
+
+    def test_few_table_cells_need_a_search(self):
+        for pdf in self.PDFS:
+            split = int((pdf._bin_table[1] < 0).sum())
+            # each of the 2B running sums splits at most one cell of 2^13
+            assert split <= 2 * pdf.bin_count
+        assert int((bundled_histogram("chess_p10_light")._bin_table[1] < 0).sum()) == 118

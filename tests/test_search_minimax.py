@@ -253,6 +253,9 @@ ALL_KINDS = ["perfect", "gaussian:0.3", "gaussian:2", "histogram:chess_p10_light
 
 
 class TestMinimaxDecisions:
+    """minimax_decisions(trees, depths, heuristic) takes (params, seed) pairs
+    that differ only in their seeds, and returns one {depth: action} per tree."""
+
     def test_matches_alphabeta_on_random_instances(self):
         rng = Random(2026)
         # the largest depth per b keeps each instance's full width small
@@ -267,7 +270,7 @@ class TestMinimaxDecisions:
             depths = sorted(rng.sample(range(1, deepest[b] + 1), rng.randrange(1, 4)))
             heuristic = parse_heuristic(rng.choice(ALL_KINDS))
             seed = rng.getrandbits(64)
-            decisions = minimax_decisions(params, depths, heuristic, seed)
+            [decisions] = minimax_decisions([(params, seed)], depths, heuristic)
             assert list(decisions) == depths
             for depth in depths:
                 cfg = MinimaxConfig(depth, heuristic, seed)
@@ -276,29 +279,59 @@ class TestMinimaxDecisions:
         assert pairs >= 2000
         assert mismatches == 0
 
+    def test_many_trees_in_one_pass_match_alphabeta(self):
+        rng = Random(2027)
+        deepest = {2: 8, 3: 5, 4: 4}
+        pairs = mismatches = 0
+        for instance in range(150):
+            b = rng.choice(sorted(deepest))
+            gamma = (0.0, 1.0, rng.random())[instance % 3]
+            d_max = rng.randrange(1, deepest[b] + 3)
+            trees = [(make_params(b=b, gamma=gamma, d_max=d_max, seed=rng.getrandbits(64)),
+                      rng.getrandbits(64)) for _ in range(rng.randrange(1, 12))]
+            depths = sorted(rng.sample(range(1, deepest[b] + 1), rng.randrange(1, 4)))
+            heuristic = parse_heuristic(rng.choice(ALL_KINDS))
+            decisions = minimax_decisions(trees, depths, heuristic)
+            assert len(decisions) == len(trees)
+            for (params, seed), actions in zip(trees, decisions):
+                assert list(actions) == depths
+                for depth in depths:
+                    pairs += 1
+                    cfg = MinimaxConfig(depth, heuristic, seed)
+                    mismatches += actions[depth] != alphabeta(params, (), cfg).best_action
+        assert pairs >= 500
+        assert mismatches == 0
+
     def test_ties_go_to_the_lowest_index(self):
         # gamma 0: every node is +1 and the perfect evaluator ties all children
         params = make_params(b=4, gamma=0.0, d_max=6, seed=3)
-        assert minimax_decisions(params, (1, 2, 3), PERFECT, 0) == {1: 0, 2: 0, 3: 0}
+        assert minimax_decisions([(params, 0), (params, 1)], (1, 2, 3), PERFECT) == [
+            {1: 0, 2: 0, 3: 0}, {1: 0, 2: 0, 3: 0}
+        ]
 
     def test_depths_in_any_order(self):
         params = make_params(b=3, gamma=0.7, d_max=4, seed=8)
         spec = gaussian(0.5)
-        one = {d: minimax_decisions(params, [d], spec, 4)[d] for d in (1, 3, 6)}
-        together = minimax_decisions(params, (6, 1, 3), spec, 4)
+        one = {d: minimax_decisions([(params, 4)], [d], spec)[0][d] for d in (1, 3, 6)}
+        [together] = minimax_decisions([(params, 4)], (6, 1, 3), spec)
         assert list(together.items()) == [(6, one[6]), (1, one[1]), (3, one[3])]
-        assert minimax_decisions(params, (), spec, 4) == {}
+        assert minimax_decisions([(params, 4)], (), spec) == [{}]
+        assert minimax_decisions([], (1, 3), spec) == []
 
     def test_validation(self):
         params = make_params(b=10, d_max=50)
         with pytest.raises(ValueError, match="depth must be an integer >= 1"):
-            minimax_decisions(params, (0, 2), PERFECT, 1)
+            minimax_decisions([(params, 1)], (0, 2), PERFECT)
         with pytest.raises(ValueError, match="seed must be an integer"):
-            minimax_decisions(params, (1,), PERFECT, -1)
+            minimax_decisions([(params, 1), (params, -1)], (1,), PERFECT)
         with pytest.raises(ValueError, match=f"b\\^depth exceeds {ENUM_CAP}"):
-            minimax_decisions(params, (1, 7), PERFECT, 1)
+            minimax_decisions([(params, 1)], (1, 7), PERFECT)
+        for other in (make_params(b=9, d_max=50), make_params(b=10, gamma=0.5, d_max=50),
+                      make_params(b=10, d_max=49)):
+            with pytest.raises(ValueError, match="must share b, gamma and max_depth"):
+                minimax_decisions([(params, 1), (other, 1)], (1,), PERFECT)
         # past max_depth the frontier stops at the terminal level, within the cap
         shallow = make_params(b=10, d_max=2)
-        decisions = minimax_decisions(shallow, (2, 50), gaussian(0.3), 1)
+        decisions = minimax_decisions([(shallow, 1)], (2, 50), gaussian(0.3))
         best = alphabeta(shallow, (), MinimaxConfig(2, gaussian(0.3), 1)).best_action
-        assert decisions == {2: best, 50: best}
+        assert decisions == [{2: best, 50: best}]
