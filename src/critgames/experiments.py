@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bitmix
-from .heuristics import HeuristicSpec, parse_heuristic
+from .heuristics import HeuristicSpec, heuristic_key, parse_heuristic
 from .search_minimax import MinimaxConfig, alphabeta, minimax_decisions
 from .search_uct import SearchResult, UctConfig, checked_exploration, uct_search
 from .tree_model import GameParams, node_meta, within_cap
@@ -160,28 +160,37 @@ def cells(spec: GridSpec) -> list[Cell]:
 
 def cell_key(cell: Cell) -> int:
     """64-bit cell identity; budgets and M excluded so trees stay
-    comparable when the budget list is truncated or M grows."""
+    comparable when the budget list is truncated or M grows. A histogram
+    file enters by its weights (`heuristics.heuristic_key`), not its path."""
     text = (
         f"{cell.gamma!r}|{cell.branching}|{cell.exploration!r}"
-        f"|{cell.heuristic}|{cell.algorithm}|{cell.max_depth}"
+        f"|{heuristic_key(cell.heuristic)}|{cell.algorithm}|{cell.max_depth}"
     )
     return int.from_bytes(blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
-def tree_seeds(cell: Cell, master_seed: int, index: int) -> tuple[int, int]:
+def _seed_pairs(
+    cell: Cell, master_seed: int, trees: Iterable[int]
+) -> Iterator[tuple[int, int]]:
+    """(tree seed, search seed) for each listed tree, from one cell key."""
     base = bitmix.mix64(master_seed ^ cell_key(cell))
-    return (
-        bitmix.indexed_u64(base, _TREE_TAG, index),
-        bitmix.indexed_u64(base, _SEARCH_TAG, index),
-    )
+    for index in trees:
+        yield (
+            bitmix.indexed_u64(base, _TREE_TAG, index),
+            bitmix.indexed_u64(base, _SEARCH_TAG, index),
+        )
+
+
+def tree_seeds(cell: Cell, master_seed: int, index: int) -> tuple[int, int]:
+    [pair] = _seed_pairs(cell, master_seed, [index])
+    return pair
 
 
 def cell_trees(
     cell: Cell, master_seed: int, trees: Iterable[int]
 ) -> Iterator[tuple[GameParams, frozenset[int], int]]:
     """(params, optimal root moves, search seed) for each listed tree."""
-    for t in trees:
-        tree_seed, search_seed = tree_seeds(cell, master_seed, t)
+    for tree_seed, search_seed in _seed_pairs(cell, master_seed, trees):
         params = GameParams(cell.branching, cell.gamma, cell.max_depth, tree_seed)
         yield params, node_meta(params, ()).optimal_moves, search_seed
 

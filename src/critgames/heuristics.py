@@ -11,7 +11,9 @@ stream by (search seed, node state) and returns exactly what `evaluate`
 returns on ``KeyedDraws(eval_key(seed) ^ state)``; `evaluate` is the
 reference it is tested against. `frontier_scorer_np` scores a whole
 level of one or many trees at once, bit for bit as `frontier_scorer`
-does.
+does. Its rough mode may miss that by `rough_slack` per leaf: the
+Gaussian then takes numpy's `log` and `cos`, which need not round as
+libm's do, and the other kinds stay exact with slack 0.
 """
 
 from __future__ import annotations
@@ -293,10 +295,28 @@ def cosine_negative(angles: np.ndarray) -> np.ndarray:
     return (angles > pi / 2) & (angles <= 3 * pi / 2)
 
 
+def rough_slack(spec: HeuristicSpec, params: GameParams, depth: int) -> float:
+    """Bound on |rough - exact| for any leaf that `frontier_scorer_np`'s
+    rough mode scores at `depth`.
+
+    Only a Gaussian level short of `max_depth` is rough, with slack
+    (1 + sigma) * 2^-40. There the two modes differ only in the last
+    ulps of log and cos, so the noise, whose radius sqrt(-2 log u) is at
+    most 8.6, moves by a few sigma * 1e-16, and base + noise rounds once
+    more; clipping to [0, 1] is 1-Lipschitz. The largest gap measured
+    over 10^6 draws per sigma was 3.3e-16 (sigma = 40), and the tests
+    fail at slack / 256.
+    """
+    if spec.kind == "gaussian" and depth < params.max_depth:
+        return (1.0 + spec.sigma) * 2.0**-40
+    return 0.0
+
+
 def frontier_scorer_np(
     spec: HeuristicSpec, params: GameParams, keys: Sequence[int]
-) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
-    """score(depth, plus, states): `frontier_scorer` over a level of n trees.
+) -> Callable[..., np.ndarray]:
+    """score(depth, plus, states, rough=False): `frontier_scorer` over a
+    level of n trees.
 
     `keys` holds one key per tree, and the level is seed-minor: node k
     belongs to tree k % n, whose draw words are xored in as
@@ -308,14 +328,18 @@ def frontier_scorer_np(
     Gaussian takes the cosine's sign from `cosine_negative` and maps
     `math.cos` and `math.log` over only the nodes whose clip that sign
     leaves open, because numpy's log and cos may round differently; sqrt
-    and the products are exactly rounded either way.
+    and the products are exactly rounded either way. With rough=True it
+    takes numpy's log and cos over the same leaves instead, so each value
+    lies within `rough_slack` of the exact one.
     """
     max_depth = params.max_depth
     n = len(keys)
     words = [np.array([draw_word(key, i) for key in keys], dtype=np.uint64) for i in (0, 1)]
     kind = spec.kind
 
-    def utility(depth: int, plus: np.ndarray, states: np.ndarray) -> np.ndarray:
+    def utility(
+        depth: int, plus: np.ndarray, states: np.ndarray, rough: bool = False
+    ) -> np.ndarray:
         return plus.astype(np.float64)
 
     def keyed(states: np.ndarray, index: int) -> np.ndarray:
@@ -330,14 +354,17 @@ def frontier_scorer_np(
     if kind == "gaussian":
         sigma = spec.sigma
 
-        def noisy(depth: int, plus: np.ndarray, states: np.ndarray) -> np.ndarray:
+        def noisy(depth: int, plus: np.ndarray, states: np.ndarray, rough: bool) -> np.ndarray:
             angles = 2.0 * pi * draws(states, 1)
             # the noise has the cosine's sign; noise >= 0 clips a +1 node to 1 and
             # noise <= 0 a -1 node to 0, so only the other nodes need cos and log
             live = np.flatnonzero(cosine_negative(angles) == plus)
-            cosines = np.fromiter(map(cos, angles[live].tolist()), np.float64, live.size)
             u = unit_np(mix64_inplace(keyed(states, 0)[live]))
-            logs = np.fromiter(map(log, (1.0 - u).tolist()), np.float64, live.size)
+            if rough:
+                cosines, logs = np.cos(angles[live]), np.log(1.0 - u)
+            else:
+                cosines = np.fromiter(map(cos, angles[live].tolist()), np.float64, live.size)
+                logs = np.fromiter(map(log, (1.0 - u).tolist()), np.float64, live.size)
             out = plus.astype(np.float64)
             noise = sigma * np.sqrt(-2.0 * logs) * cosines
             out[live] = np.minimum(1.0, np.maximum(0.0, out[live] + noise))
@@ -347,12 +374,12 @@ def frontier_scorer_np(
         assert spec.histogram is not None
         quantile_np = spec.histogram.quantile_np
 
-        def noisy(depth: int, plus: np.ndarray, states: np.ndarray) -> np.ndarray:
+        def noisy(depth: int, plus: np.ndarray, states: np.ndarray, rough: bool) -> np.ndarray:
             return quantile_np(plus, mix64_inplace(keyed(states, 0)))
 
     else:  # the playout kinds
 
-        def noisy(depth: int, plus: np.ndarray, states: np.ndarray) -> np.ndarray:
+        def noisy(depth: int, plus: np.ndarray, states: np.ndarray, rough: bool) -> np.ndarray:
             minus_density, plus_density = (
                 subtree_plus_density(params, value, player_at(depth), max_depth - depth)
                 for value in (MINUS, PLUS)
@@ -362,8 +389,10 @@ def frontier_scorer_np(
                 return density
             return (draws(states, 0) < density).astype(np.float64)
 
-    def score(depth: int, plus: np.ndarray, states: np.ndarray) -> np.ndarray:
-        return (utility if depth >= max_depth else noisy)(depth, plus, states)
+    def score(
+        depth: int, plus: np.ndarray, states: np.ndarray, rough: bool = False
+    ) -> np.ndarray:
+        return (utility if depth >= max_depth else noisy)(depth, plus, states, rough)
 
     return score
 
@@ -450,3 +479,15 @@ def parse_heuristic(text: str) -> HeuristicSpec:
             return histogram(load_histogram(arg))
         raise ValueError(f"histogram {arg!r} is neither bundled nor a file")
     raise ValueError(f"unknown heuristic {text!r}")
+
+
+def heuristic_key(text: str) -> str:
+    """What identifies the heuristic that `text` parses to: the text itself,
+    but a histogram file's weights, so every path to a file, and every file
+    with equal weights, names one heuristic. Bundled names keep their text."""
+    kind, _, arg = text.partition(":")
+    if kind != "histogram" or arg in _bundled_names():
+        return text
+    pdf = parse_heuristic(text).histogram
+    assert pdf is not None
+    return f"histogram={pdf.plus_weights!r};{pdf.minus_weights!r}"

@@ -21,6 +21,13 @@ comparing the two checks one against the other. `minimax_decisions`
 grows whole levels of many trees with `tree_model.LevelStep`, scores
 them with `heuristics.frontier_scorer_np` and backs up with numpy max
 and min; it returns only the root decisions, which equal alpha-beta's.
+It scores each level in the scorer's rough mode first, which misses the
+exact leaf values by at most `heuristics.rough_slack` (nonzero only for
+Gaussian levels short of `max_depth`). Max and min are 1-Lipschitz, so
+every backed-up root child lies within that slack of its exact value: a
+root whose best child leads the next by more than twice the slack takes
+the exact argmax, and a level where some root does not is scored again
+exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import numpy as np
 
 from .bitmix import MASK64, checked_int, child_state, eval_key, root_state_np
 from .heuristics import evaluate  # unused here, kept: the benchmark's traced run wraps this name
-from .heuristics import HeuristicSpec, frontier_scorer, frontier_scorer_np
+from .heuristics import HeuristicSpec, frontier_scorer, frontier_scorer_np, rough_slack
 from .tree_model import (
     GameParams, LevelStep, NodeCursor, checked_span, designated_child, grown_value
 )
@@ -142,8 +149,11 @@ def minimax_decisions(
     backed up at once, by max on Max levels and min on Min levels; each
     root takes the first child of highest value, as `_root_search` does.
     Backed-up minimax values equal alpha-beta's exactly, so the actions do
-    too. The deepest frontier must pass `checked_span`; the caller bounds
-    the number of trees, since the widest level holds n * b^d nodes.
+    too. A level is scored roughly first and kept if every root's best
+    child leads by more than twice the level's `rough_slack`, which makes
+    it the exact argmax; otherwise it is scored again exactly. The
+    deepest frontier must pass `checked_span`; the caller bounds the
+    number of trees, since the widest level holds n * b^d nodes.
     """
     depths = [MinimaxConfig(d, heuristic, 0).depth for d in depths]
     seeds = [checked_int("seed", seed, 0, MASK64) for _, seed in trees]
@@ -160,14 +170,26 @@ def minimax_decisions(
     grow = LevelStep(b, params.critical_rate, n * b ** max(last - 1, 0))
     states = root_state_np(np.array([p.seed for p, _ in trees], dtype=np.uint64))
     plus = np.ones(n, dtype=bool)
-    actions = {}
-    for level in range(last):
-        plus, states = grow(level, states, plus)
-        if level + 1 not in scored:
-            continue
-        values = score(level + 1, plus, states)
-        for depth in range(level, 0, -1):  # the parents' depth
+
+    def root_children(values: np.ndarray, level: int) -> np.ndarray:
+        """The (b, n) root-child values that a scored level backs up to."""
+        for depth in range(level - 1, 0, -1):  # the parents' depth
             values = values.reshape(b, -1)
             values = values.max(axis=0) if depth % 2 == 0 else values.min(axis=0)
-        actions[level + 1] = np.argmax(values.reshape(b, n), axis=0).tolist()
+        return values.reshape(b, n)
+
+    actions = {}
+    for level in range(1, last + 1):
+        plus, states = grow(level - 1, states, plus)
+        if level not in scored:
+            continue
+        values = root_children(score(level, plus, states, rough=True), level)
+        slack = rough_slack(heuristic, params, level)
+        if slack:
+            top_two = np.partition(values, b - 2, axis=0)[b - 2 :]
+            # rounding is monotone and 2 * slack is a double, so a rounded
+            # lead above it is a real lead above it
+            if not np.all(top_two[1] - top_two[0] > 2.0 * slack):
+                values = root_children(score(level, plus, states), level)
+        actions[level] = np.argmax(values, axis=0).tolist()
     return [{d: actions[frontiers[d]][t] for d in depths} for t in range(n)]

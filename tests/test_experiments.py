@@ -1,5 +1,6 @@
 """Grid machinery tests: seed derivation, statistics, emission formats."""
 
+import importlib.resources
 import math
 import re
 from pathlib import Path
@@ -124,6 +125,33 @@ class TestOneForm:
             outputs.add(tuple(path.read_bytes() for path in written))
         assert len(keys) == 1
         assert len(outputs) == 1
+
+    def test_a_histogram_file_is_keyed_by_its_weights(self, tmp_path, monkeypatch):
+        """Two paths to one file key one cell and write one results.csv."""
+        monkeypatch.chdir(tmp_path)
+        light = Path(str(importlib.resources.files("critgames.data") / "chess_p10_light.hist"))
+        Path("light.hist").write_bytes(light.read_bytes())
+        outputs = set()
+        for k, text in enumerate(("histogram:light.hist", "histogram:./light.hist",
+                                  f"histogram:{tmp_path / 'light.hist'}")):
+            spec = tiny_spec(algorithm="alphabeta", budgets=(2, 4), trees=100, heuristics=(text,))
+            written = emit_results(spec, run_grid(spec), tmp_path / str(k))
+            outputs.add((written[0].read_bytes(), cell_key(cells(spec)[0])))
+        assert len(outputs) == 1
+        # other weights key another cell
+        Path("heavy.hist").write_text("bins=2\nplus=0.2 0.8\nminus=0.8 0.2\n")
+        [other] = cells(tiny_spec(heuristics=("histogram:heavy.hist",)))
+        assert cell_key(other) != outputs.pop()[1]
+
+    def test_bundled_and_built_in_keys_are_frozen(self):
+        keys = {
+            "histogram:chess_p10_light": 0x47E8D7039882C1A3,
+            "histogram:chess_p10_heavy": 0x28244010BBDDC8C1,
+            "gaussian:0.3": 0x3F07AC76446DE1AC,
+            "perfect": 0xD535741CB7888505,
+        }
+        for text, key in keys.items():
+            assert cell_key(Cell(1.0, 2, 0.5, text, (2, 4), 50, 10, "alphabeta")) == key
 
     def test_values_take_one_form(self):
         spec = tiny_spec(gammas=(np.float64(0.5), 1), branchings=(np.int64(2),),
@@ -372,8 +400,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestGoldenAlphabeta:
-    """Alpha-beta grids recorded when every tree and depth ran one alpha-beta
-    search; the full-width pass must reproduce them byte for byte."""
+    """Alpha-beta grids recorded before the full-width pass (the first two)
+    and before its rough Gaussian scoring (the third); it must reproduce
+    them byte for byte."""
 
     @pytest.mark.parametrize(
         "name, grid",
@@ -386,6 +415,12 @@ class TestGoldenAlphabeta:
             ("alphabeta_edges.csv", dict(gammas=(0.0, 0.5), branchings=(2, 3),
                                          heuristics=("perfect", "playout-l1", "playout-linf"),
                                          budgets=(1, 3, 5), max_depth=4)),
+            # rough Gaussian levels and their exact re-scores: sigma 0 ties every
+            # clipped value, and budget 11 lies past max_depth 9
+            ("alphabeta_gaussian.csv", dict(gammas=(0.5, 0.9, 1.0), branchings=(2, 3),
+                                            heuristics=("gaussian:0.0", "gaussian:0.05",
+                                                        "gaussian:0.3", "gaussian:1.5"),
+                                            budgets=(1, 2, 3, 5, 7, 11), max_depth=9)),
         ],
     )
     def test_results_csv_unchanged(self, tmp_path, name, grid):

@@ -24,6 +24,7 @@ from critgames.heuristics import (
     load_histogram,
     normalized,
     parse_heuristic,
+    rough_slack,
     save_histogram,
 )
 from critgames.tree_model import MINUS, PLUS, GameParams, Player, player_at
@@ -433,6 +434,44 @@ class TestFrontierScorerNp:
             want = [scalars[k % len(keys)](depth, v, s).hex()
                     for k, (v, s) in enumerate(zip(values, states))]
             assert [x.hex() for x in got.tolist()] == want, (spec.label, depth)
+
+
+class TestRoughScorer:
+    """The rough mode against the exact one: within `rough_slack` per leaf."""
+
+    @pytest.mark.parametrize("sigma", [1e-9, 0.05, 0.3, 1.5, 40.0])
+    def test_gaussian_within_a_256th_of_the_slack(self, sigma):
+        # far inside the slack, so a numpy whose log or cos drifts fails here first
+        params = GameParams(3, 0.5, 6, seed=1)
+        spec = gaussian(sigma)
+        rng = np.random.default_rng(int(sigma * 1e9))
+        states = rng.integers(0, 2**64, 10**6, dtype=np.uint64)
+        plus = rng.random(states.size) < 0.5
+        score = frontier_scorer_np(spec, params, [int(rng.integers(0, 2**63))])
+        exact, rough = score(3, plus, states), score(3, plus, states, rough=True)
+        slack = rough_slack(spec, params, 3)
+        assert slack == (1.0 + sigma) * 2.0**-40
+        assert np.abs(rough - exact).max() <= slack / 256
+        assert 0.0 <= rough.min() and rough.max() <= 1.0
+        for value in (True, False):  # both node classes, each clipped and open
+            clipped = np.isin(exact[plus == value], (0.0, 1.0))
+            assert clipped.any() and not clipped.all()
+
+    @pytest.mark.parametrize("spec", SCORER_SPECS, ids=lambda spec: spec.label)
+    def test_exact_levels_have_no_slack(self, spec):
+        """Every kind but the Gaussian, and every terminal level, is exact."""
+        rng = np.random.default_rng(5)
+        params = GameParams(2, 0.5, 6, seed=1)
+        states = rng.integers(0, 2**64, 3000, dtype=np.uint64)
+        plus = rng.random(states.size) < 0.5
+        score = frontier_scorer_np(spec, params, [11, 12, 13])
+        for depth in (0, 4, 6, 9):  # 6 and 9 are at or past max_depth
+            slack = rough_slack(spec, params, depth)
+            assert slack == (0.0 if spec.kind != "gaussian" or depth >= 6 else
+                             (1.0 + spec.sigma) * 2.0**-40)
+            if not slack:
+                rough = score(depth, plus, states, rough=True)
+                assert rough.tobytes() == score(depth, plus, states).tobytes()
 
 
 class TestCosineSign:

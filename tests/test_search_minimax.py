@@ -1,15 +1,19 @@
 """Alpha-beta tests: oracle equivalence, pruning benefit, noise replay,
 and the full-width pass that decides many depths at once."""
 
+import math
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critgames import search_minimax
 from critgames.bitmix import KeyedDraws, eval_key
-from critgames.heuristics import EvalContext, HeuristicSpec, evaluate, gaussian, parse_heuristic
+from critgames.heuristics import (
+    EvalContext, HeuristicSpec, evaluate, gaussian, parse_heuristic, rough_slack
+)
 from critgames.search_minimax import (
     MinimaxConfig,
     alphabeta,
@@ -301,6 +305,48 @@ class TestMinimaxDecisions:
                     mismatches += actions[depth] != alphabeta(params, (), cfg).best_action
         assert pairs >= 500
         assert mismatches == 0
+
+    def test_rough_values_off_by_their_slack_are_scored_again(self, monkeypatch):
+        """A rough scorer that misses every leaf by its whole slack, up or
+        down at random, still gives alpha-beta's actions: a root whose top
+        two children it brings within twice the slack sends its level to
+        the exact scorer, and the others keep the order of the exact values.
+        The slack is cut to a power of two, so that each miss is exact and
+        two tied children can lie exactly twice the slack apart."""
+        scorer, rng = search_minimax.frontier_scorer_np, np.random.default_rng(31)
+        calls = {False: 0, True: 0}
+
+        def slack(spec, params, depth):
+            rough = rough_slack(spec, params, depth)
+            return 2.0 ** math.floor(math.log2(rough)) if rough else 0.0
+
+        def perturbed(spec, params, keys):
+            score = scorer(spec, params, keys)
+
+            def rough_or_exact(depth, plus, states, rough=False):
+                calls[rough] += 1
+                values = score(depth, plus, states)
+                if rough:
+                    values += rng.choice((-1.0, 1.0), values.size) * slack(spec, params, depth)
+                return values
+
+            return rough_or_exact
+
+        monkeypatch.setattr(search_minimax, "rough_slack", slack)
+        monkeypatch.setattr(search_minimax, "frontier_scorer_np", perturbed)
+        mismatches = 0
+        for instance in range(120):
+            b, gamma = (2, 3)[instance % 2], (0.5, 0.9, 1.0)[instance % 3]
+            trees = [(make_params(b=b, gamma=gamma, d_max=7, seed=6 * instance + t), t)
+                     for t in range(6)]
+            heuristic = gaussian((0.0, 0.05, 0.3, 1.5)[instance % 4])
+            depths = (1, 2, 3, 5, 8)
+            for (tree, seed), actions in zip(trees, minimax_decisions(trees, depths, heuristic)):
+                for depth in depths:
+                    cfg = MinimaxConfig(depth, heuristic, seed)
+                    mismatches += actions[depth] != alphabeta(tree, (), cfg).best_action
+        assert mismatches == 0
+        assert 0 < calls[False] < calls[True]
 
     def test_ties_go_to_the_lowest_index(self):
         # gamma 0: every node is +1 and the perfect evaluator ties all children
