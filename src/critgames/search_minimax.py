@@ -19,10 +19,11 @@ recurses on (depth, value, state) integers and applies the growth rule's
 two parts directly; `minimax_reference` walks `NodeCursor` objects, so
 comparing the two checks one against the other. `minimax_decisions`
 grows whole levels of many trees with `tree_model.LevelStep`, scores
-them with `heuristics.frontier_scorer_np` and backs up with numpy max
-and min; it returns only the root decisions, which equal alpha-beta's.
-It scores each level in the scorer's rough mode first, which misses the
-exact leaf values by at most `heuristics.rough_slack` (nonzero only for
+them with `heuristics.frontier_scorer_np` a chunk of at most
+`_SCORE_NODES` nodes at a time, and backs up with numpy max and min; it
+returns only the root decisions, which equal alpha-beta's. It scores
+each level in the scorer's rough mode first, which misses the exact
+leaf values by at most `heuristics.rough_slack` (nonzero only for
 Gaussian levels short of `max_depth`). Max and min are 1-Lipschitz, so
 every backed-up root child lies within that slack of its exact value: a
 root whose best child leads the next by more than twice the slack takes
@@ -45,6 +46,8 @@ from .heuristics import HeuristicSpec, frontier_scorer, frontier_scorer_np, roug
 from .tree_model import (
     GameParams, LevelStep, NodeCursor, checked_span, designated_child, grown_value
 )
+
+_SCORE_NODES = 2**13  # nodes per scoring chunk: the scorer's temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -151,9 +154,12 @@ def minimax_decisions(
     Backed-up minimax values equal alpha-beta's exactly, so the actions do
     too. A level is scored roughly first and kept if every root's best
     child leads by more than twice the level's `rough_slack`, which makes
-    it the exact argmax; otherwise it is scored again exactly. The
-    deepest frontier must pass `checked_span`; the caller bounds the
-    number of trees, since the widest level holds n * b^d nodes.
+    it the exact argmax; otherwise it is scored again exactly. Either
+    way it is scored in chunks of whole rows of n nodes, at most
+    `_SCORE_NODES` nodes or one row each, which bound only the scorer's
+    temporaries. The deepest frontier must pass `checked_span`; the
+    caller bounds the number of trees, since the widest level holds
+    n * b^d nodes.
     """
     depths = [MinimaxConfig(d, heuristic, 0).depth for d in depths]
     seeds = [checked_int("seed", seed, 0, MASK64) for _, seed in trees]
@@ -170,6 +176,14 @@ def minimax_decisions(
     grow = LevelStep(b, params.critical_rate, n * b ** max(last - 1, 0))
     states = root_state_np(np.array([p.seed for p, _ in trees], dtype=np.uint64))
     plus = np.ones(n, dtype=bool)
+    chunk = max(1, _SCORE_NODES // n) * n
+
+    def score_level(level: int, plus: np.ndarray, states: np.ndarray, rough: bool) -> np.ndarray:
+        values = np.empty(plus.size)
+        for lo in range(0, plus.size, chunk):
+            part = slice(lo, lo + chunk)
+            values[part] = score(level, plus[part], states[part], rough)
+        return values
 
     def root_children(values: np.ndarray, level: int) -> np.ndarray:
         """The (b, n) root-child values that a scored level backs up to."""
@@ -183,13 +197,13 @@ def minimax_decisions(
         plus, states = grow(level - 1, states, plus)
         if level not in scored:
             continue
-        values = root_children(score(level, plus, states, rough=True), level)
+        values = root_children(score_level(level, plus, states, True), level)
         slack = rough_slack(heuristic, params, level)
         if slack:
             top_two = np.partition(values, b - 2, axis=0)[b - 2 :]
             # rounding is monotone and 2 * slack is a double, so a rounded
             # lead above it is a real lead above it
             if not np.all(top_two[1] - top_two[0] > 2.0 * slack):
-                values = root_children(score(level, plus, states), level)
+                values = root_children(score_level(level, plus, states, False), level)
         actions[level] = np.argmax(values, axis=0).tolist()
     return [{d: actions[frontiers[d]][t] for d in depths} for t in range(n)]

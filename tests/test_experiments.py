@@ -2,14 +2,16 @@
 
 import importlib.resources
 import math
+import os
 import re
+import time
 from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
 
-from critgames import experiments
+from critgames import experiments, search_minimax
 from critgames.experiments import (
     CSV_HEADER,
     DECIDERS,
@@ -25,6 +27,7 @@ from critgames.experiments import (
     run_cell,
     run_grid,
     run_theorem_experiment,
+    task_order,
     theorem_c_bound,
     theorem_runs,
     tree_seeds,
@@ -344,30 +347,48 @@ class TestDeciders:
         "b, budgets, max_depth, trees, blocks",
         [
             (2, (1, 3), 8, 1, [1]),  # one tree
-            (2, (2, 6), 8, 300, [128, 128, 44]),  # 2^6 leaves; 300 trees do not fill 3 blocks
-            (2, (4, 10), 12, 17, [8, 8, 1]),  # 2^10 leaves: 8 trees fill a block exactly
-            (3, (3, 8), 10, 3, [1, 1, 1]),  # 3^8 leaves: two trees would pass 2^13
-            (2, (5, 14), 20, 2, [1, 1]),  # 2^14 leaves: one tree alone passes 2^13
-            (2, (3, 12, 13), 10, 9, [8, 1]),  # past max_depth 10 the frontier has 2^10 leaves
+            (2, (2, 8), 8, 300, [128, 128, 44]),  # 2^8 leaves; 300 trees do not fill 3 blocks
+            (2, (4, 12), 12, 17, [8, 8, 1]),  # 2^12 leaves: 8 trees fill a block exactly
+            (3, (3, 9), 10, 3, [1, 1, 1]),  # 3^9 leaves: two trees would pass 2^15
+            (2, (5, 16), 20, 2, [1, 1]),  # 2^16 leaves: one tree alone passes 2^15
+            (2, (3, 12, 13), 10, 9, [9]),  # past max_depth 10 the frontier has 2^10 leaves
+            (2, (1,), 8, 16390, [16384, 6]),  # 2^14 trees to a row: a chunk is one row
         ],
     )
     def test_blocks_decide_as_alphabeta(self, monkeypatch, b, budgets, max_depth, trees, blocks):
-        """A slice goes to the full-width pass in blocks of at most 2^13
-        frontier leaves (or one tree); every decision is alpha-beta's."""
+        """A slice goes to the full-width pass in blocks of at most 2^15
+        frontier leaves (or one tree). The pass scores each level in chunks
+        of whole rows, at most 2^13 nodes (or one row) each, so a level of
+        more nodes takes several. Every decision is alpha-beta's."""
         rng = Random(f"{b}|{budgets}|{trees}")
         heuristic = parse_heuristic("gaussian:0.3")
         pairs = [(GameParams(b, 0.8, max_depth, rng.getrandbits(64)), rng.getrandbits(64))
                  for _ in range(trees)]
-        sizes = []
-        search = experiments.minimax_decisions
+        sizes, chunks = [], []  # trees per block; chunk sizes per block and (level, mode)
+        search, scorer = experiments.minimax_decisions, search_minimax.frontier_scorer_np
 
         def recorded(block, depths, spec):
             sizes.append(len(block))
             return search(block, depths, spec)
 
+        def chunked_scorer(spec, params, keys):
+            score = scorer(spec, params, keys)
+            chunks.append((len(keys), calls := {}))
+
+            def counted(level, plus, states, rough=False):
+                calls.setdefault((level, rough), []).append(plus.size)
+                return score(level, plus, states, rough)
+
+            return counted
+
         monkeypatch.setattr(experiments, "minimax_decisions", recorded)
+        monkeypatch.setattr(search_minimax, "frontier_scorer_np", chunked_scorer)
         decisions = DECIDERS["alphabeta"](0.5, budgets, heuristic)(pairs)
         assert sizes == blocks
+        for n, calls in chunks:
+            for (level, _), parts in calls.items():
+                assert sum(parts) == n * b**level
+                assert all(part % n == 0 and part <= max(2**13, n) for part in parts)
         for (params, seed), actions in zip(pairs, decisions, strict=True):
             assert actions == {
                 d: alphabeta(params, (), MinimaxConfig(d, heuristic, seed)).best_action
@@ -387,6 +408,10 @@ class TestGridTasks:
                         budgets=(2, 4, 6, 8), trees=10)
         tasks = grid_tasks(spec, 2)
         assert [(cell, t) for cell, _, t in tasks] == [(cell, range(10)) for cell in cells(spec)]
+        # its queue holds the b = 3 tasks first, each group in task order
+        order = task_order(tasks)
+        assert [tasks[i][0].branching for i in order] == [3] * 10 + [2] * 10
+        assert order == sorted(order, key=lambda i: -tasks[i][0].branching)
         # uneven cuts cover each cell's trees once, in order
         spec = tiny_spec(gammas=(0.5, 1.0), trees=7)
         for workers in (1, 2, 3, 5):
@@ -400,9 +425,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestGoldenAlphabeta:
-    """Alpha-beta grids recorded before the full-width pass (the first two)
-    and before its rough Gaussian scoring (the third); it must reproduce
-    them byte for byte."""
+    """Alpha-beta grids recorded before the full-width pass (the first two),
+    before its rough Gaussian scoring (the third) and before 2^15-leaf
+    blocks scored in chunks (the fourth); it must reproduce them byte for
+    byte."""
 
     @pytest.mark.parametrize(
         "name, grid",
@@ -421,10 +447,16 @@ class TestGoldenAlphabeta:
                                             heuristics=("gaussian:0.0", "gaussian:0.05",
                                                         "gaussian:0.3", "gaussian:1.5"),
                                             budgets=(1, 2, 3, 5, 7, 11), max_depth=9)),
+            # 23 trees end b = 2 blocks mid-slice, deep levels take several scoring
+            # chunks, and budget 12 lies past max_depth 11
+            ("alphabeta_blocks.csv", dict(gammas=(0.5, 1.0), branchings=(2, 3),
+                                          heuristics=("histogram:chess_p10_light",
+                                                      "gaussian:0.3", "gaussian:0.05"),
+                                          budgets=(2, 4, 6, 8, 12), max_depth=11, trees=23)),
         ],
     )
     def test_results_csv_unchanged(self, tmp_path, name, grid):
-        spec = GridSpec(explorations=(0.5,), trees=20, algorithm="alphabeta", **grid)
+        spec = GridSpec(**{"explorations": (0.5,), "trees": 20, "algorithm": "alphabeta", **grid})
         emit_results(spec, run_grid(spec), tmp_path)
         assert (tmp_path / "results.csv").read_bytes() == (GOLDEN / name).read_bytes()
 
@@ -447,15 +479,19 @@ class TestDeterminism:
         for key, report in forward.items():
             assert report.deltas == backward[key].deltas
 
-    def test_worker_pool_matches_inline(self):
+    def test_worker_pool_matches_inline(self, tmp_path):
         for algorithm, budgets in (("uct", (5, 20)), ("alphabeta", (1, 3))):
             spec = tiny_spec(
                 trees=8, budgets=budgets, max_depth=6, algorithm=algorithm,
                 gammas=(0.5, 1.0), branchings=(2, 3),
             )
-            inline = "\n".join(csv_lines(run_grid(spec, workers=1)))
-            for workers in (2, 3):
-                assert "\n".join(csv_lines(run_grid(spec, workers=workers))) == inline
+            written = {}
+            for workers in (1, 2, 3, 5):
+                out = tmp_path / f"{algorithm}{workers}"
+                emit_results(spec, run_grid(spec, workers=workers), out)
+                written[workers] = (out / "results.csv").read_bytes()
+                assert_no_children()
+            assert len(set(written.values())) == 1
 
     def test_wall_time_is_measured_per_cell(self):
         spec = tiny_spec(trees=4, budgets=(5, 20), gammas=(0.5, 1.0), branchings=(2, 3))
@@ -467,6 +503,111 @@ class TestDeterminism:
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             run_grid(tiny_spec(), workers=0)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_a_child(child_does, flag):
+    """A DECIDERS builder whose decide runs `child_does` in a forked child.
+
+    In the caller, decide first waits until some child has touched
+    `flag`, so that a child surely takes a task before the caller can
+    take them all; then it decides action 0 everywhere."""
+    caller = os.getpid()
+
+    def builder(c, budgets, heuristic):
+        def decide(trees):
+            if os.getpid() != caller:
+                flag.touch()
+                child_does()
+            deadline = time.monotonic() + 60
+            while not flag.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return [{j: 0 for j in budgets} for _ in trees]
+
+        return decide
+
+    return builder
+
+
+def unpicklable():
+    raise ValueError(lambda: None)
+
+
+def fail():
+    raise ValueError("stub failed in a child")
+
+
+class TestForkedWorkers:
+    """run_grid with workers > 1: the caller and forked children pull one
+    queue of tasks, and no child outlives the call."""
+
+    spec = dict(gammas=(0.5, 1.0), trees=4, budgets=(10,))
+
+    def test_a_child_exception_is_raised_in_the_caller(self, monkeypatch, tmp_path):
+        monkeypatch.setitem(DECIDERS, "uct", in_a_child(fail, tmp_path / "flag"))
+        with pytest.raises(ValueError, match="^stub failed in a child$") as raised:
+            run_grid(tiny_spec(**self.spec), workers=2)
+        assert isinstance(raised.value.__cause__, ChildProcessError)
+        assert "stub failed in a child" in str(raised.value.__cause__)
+        assert_no_children()
+
+    def test_an_exception_that_does_not_pickle_arrives_as_its_text(self, monkeypatch, tmp_path):
+        monkeypatch.setitem(DECIDERS, "uct", in_a_child(unpicklable, tmp_path / "flag"))
+        with pytest.raises(RuntimeError, match=r"^grid worker failed: ValueError\(<function"):
+            run_grid(tiny_spec(**self.spec), workers=2)
+        assert_no_children()
+
+    def test_a_child_that_dies_raises_and_does_not_hang(self, monkeypatch, tmp_path):
+        monkeypatch.setitem(DECIDERS, "uct", in_a_child(lambda: os._exit(3), tmp_path / "flag"))
+        with pytest.raises(RuntimeError, match=r"grid worker \d+ died with exit code 3"):
+            run_grid(tiny_spec(**self.spec), workers=3)
+        assert_no_children()
+
+    def test_children_are_killed_when_the_caller_fails(self, monkeypatch, tmp_path):
+        """A child stuck in its task is killed, not waited for."""
+
+        def stuck():
+            time.sleep(120)
+
+        builder = in_a_child(stuck, tmp_path / "flag")
+
+        def caller_fails(c, budgets, heuristic):
+            decide = builder(c, budgets, heuristic)
+
+            def failing(trees):
+                decide(trees)
+                raise KeyError("the caller's own task failed")
+
+            return failing
+
+        monkeypatch.setitem(DECIDERS, "uct", caller_fails)
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="the caller's own task failed"):
+            run_grid(tiny_spec(**self.spec), workers=2)
+        assert time.monotonic() - start < 60
+        assert_no_children()
+
+    @pytest.mark.parametrize(
+        "gammas, trees, workers, forks",
+        [((0.5, 1.0), 2, 2, 1), ((0.5, 1.0), 2, 5, 3), ((0.5, 1.0), 2, 9, 3), ((1.0,), 1, 3, 0)],
+    )
+    def test_at_most_one_child_per_task_but_the_callers(
+        self, monkeypatch, gammas, trees, workers, forks
+    ):
+        """The caller works too, so a grid of n tasks forks at most n - 1
+        children; the two-cell grids here cut four one-tree tasks."""
+        spec = tiny_spec(gammas=gammas, trees=trees, budgets=(10,))
+        assert min(workers, len(grid_tasks(spec, workers))) - 1 == forks
+        forked, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+        inline = csv_lines(run_grid(spec, workers=1))
+        assert csv_lines(run_grid(spec, workers=workers)) == inline
+        assert len(forked) == forks
+        assert_no_children()
 
 
 class TestTheoremBound:

@@ -312,7 +312,9 @@ class TestMinimaxDecisions:
         two children it brings within twice the slack sends its level to
         the exact scorer, and the others keep the order of the exact values.
         The slack is cut to a power of two, so that each miss is exact and
-        two tied children can lie exactly twice the slack apart."""
+        two tied children can lie exactly twice the slack apart. Half the
+        instances score in 64-node chunks, so that their levels are scored
+        and re-scored in several chunks."""
         scorer, rng = search_minimax.frontier_scorer_np, np.random.default_rng(31)
         calls = {False: 0, True: 0}
 
@@ -337,6 +339,7 @@ class TestMinimaxDecisions:
         mismatches = 0
         for instance in range(120):
             b, gamma = (2, 3)[instance % 2], (0.5, 0.9, 1.0)[instance % 3]
+            monkeypatch.setattr(search_minimax, "_SCORE_NODES", (2**13, 64)[instance // 2 % 2])
             trees = [(make_params(b=b, gamma=gamma, d_max=7, seed=6 * instance + t), t)
                      for t in range(6)]
             heuristic = gaussian((0.0, 0.05, 0.3, 1.5)[instance % 4])
