@@ -14,12 +14,7 @@ depths.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import tempfile
 import time
-import traceback
 from dataclasses import dataclass, fields
 from hashlib import blake2b
 from itertools import product
@@ -27,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bitmix
+from .forked import forked_map
 from .heuristics import HeuristicSpec, heuristic_key, parse_heuristic
 from .search_minimax import MinimaxConfig, alphabeta, minimax_decisions
 from .search_uct import SearchResult, UctConfig, checked_exploration, uct_search
@@ -286,108 +282,18 @@ def grid_tasks(spec: GridSpec, workers: int) -> list[tuple[Cell, int, range]]:
     ]
 
 
-_INDEX_BYTES = 8  # one task index in the shared queue
-
-
-def _pull(queue: int) -> Iterator[int]:
-    """Task indices read from the shared queue until it runs dry.
-
-    The queue is a regular file that every process reads through one
-    shared file offset. Each read moves the offset atomically, so each
-    index goes to exactly one process, and a read never blocks.
-    """
-    while entry := os.read(queue, _INDEX_BYTES):
-        yield int.from_bytes(entry, "little")
-
-
-def _serve(tasks: Sequence[tuple[Cell, int, range]], queue: int, pipe: int) -> None:
-    """A forked child's whole life: it runs the tasks it pulls, sends the
-    pickled ([(index, result), ...], error or None, traceback text) over
-    its pipe and exits, never returning into the caller's code."""
-    code = 1
-    try:
-        done, error, trace = [], None, ""
-        try:
-            for index in _pull(queue):
-                done.append((index, _run_task(tasks[index])))
-        except BaseException as exc:  # the caller raises it again
-            error, trace = exc, traceback.format_exc()
-        try:
-            payload = pickle.dumps((done, error, trace))
-            if error is not None:
-                pickle.loads(payload)  # the caller must be able to rebuild it
-        except Exception:  # so an exception that does not round-trip goes as its text
-            payload = pickle.dumps((done, RuntimeError(f"grid worker failed: {error!r}"), trace))
-        with open(pipe, "wb") as out:
-            out.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _run_forked(tasks: Sequence[tuple[Cell, int, range]], workers: int) -> list:
-    """Each task's `_run_task` result, in task order, from the caller and
-    `min(workers, len(tasks)) - 1` forked children (POSIX only).
-
-    Every process takes the next index of one shared queue, ordered by
-    `task_order`, whenever it is free. A child's exception is raised
-    again here, with its traceback text as the cause, and a child that
-    dies raises a RuntimeError. No child outlives the call: each is
-    reaped, and killed first if the call fails.
-    """
-    results: list = [None] * len(tasks)
-    pids: list[int] = []
-    readers: list[int] = []  # the read end of each child's pipe
-    reaped: set[int] = set()
-    with tempfile.TemporaryFile() as queue:
-        queue.write(b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in task_order(tasks)))
-        queue.seek(0)
-        try:
-            for _ in range(min(workers, len(tasks)) - 1):
-                reader, writer = os.pipe()
-                readers.append(reader)
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _serve(tasks, queue.fileno(), writer)
-                finally:
-                    os.close(writer)
-                pids.append(pid)
-            for index in _pull(queue.fileno()):
-                results[index] = _run_task(tasks[index])
-            for pid, reader in zip(pids, readers):
-                with open(reader, "rb", closefd=False) as pipe:
-                    payload = pipe.read()
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                reaped.add(pid)
-                if code != 0:
-                    raise RuntimeError(f"grid worker {pid} died with exit code {code}")
-                done, error, trace = pickle.loads(payload)
-                if error is not None:
-                    raise error from ChildProcessError(f"in grid worker {pid}:\n{trace}")
-                for index, result in done:
-                    results[index] = result
-        finally:
-            for pid in pids:
-                if pid not in reaped:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            for reader in readers:
-                os.close(reader)
-    return results
-
-
 def run_grid(spec: GridSpec, workers: int = 1) -> list[CellReport]:
     """All cells of the grid, run as `grid_tasks`: inline when workers ==
-    1, else by the caller and forked children (`_run_forked`, POSIX only).
-    Results return in task order, so reports do not depend on the worker
-    count; a cell's wall_time is the measured sum of its slices' times."""
+    1, else by the caller and forked children (`forked.forked_map`, POSIX
+    only), which pull the tasks costliest first (`task_order`). Results
+    return in task order, so reports do not depend on the worker count;
+    a cell's wall_time is the measured sum of its slices' times."""
     workers = bitmix.checked_int("workers", workers, 1)
     tasks = grid_tasks(spec, workers)
     if workers == 1:
         results = list(map(_run_task, tasks))
     else:
-        results = _run_forked(tasks, workers)
+        results = forked_map(_run_task, tasks, workers, task_order(tasks), "grid worker")
     grid = cells(spec)
     per_cell = len(tasks) // len(grid)
     reports = []

@@ -15,9 +15,10 @@ cost-at-level-0 * 2^d.
 
 `PvCursor` is the `tree_model` cursor with this growth rule in place of
 the win-loss one, so paths are checked and child states derived exactly
-as for the win-loss trees. `_child_values` is the rule's one numpy copy:
-the leaf sums expand whole levels through it and the playout planner
-steps its walks through it. Both hold values in int64, so `PvParams`
+as for the win-loss trees. `_child_values` is the rule's one numpy copy,
+taking designated children from `tree_model.designated_indices` as the
+win-loss enumeration does: the leaf sums expand whole levels through it
+and the playout planner steps its walks through it. Both hold values in int64, so `PvParams`
 bounds k * max_depth such that every node value, and every sum of up to
 `tree_model.ENUM_CAP` of them, the most `pv_leaf_sum` will expand, fits.
 """
@@ -30,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from . import bitmix
-from .bitmix import COST_TAG, DESIGNATED_TAG, MASK64, checked_int
-from .tree_model import ENUM_CAP, NodeCursor, checked_span
+from .bitmix import COST_TAG, MASK64, checked_int
+from .tree_model import ENUM_CAP, NodeCursor, checked_span, designated_indices
 
 _INT64_MAX = 2**63 - 1
 
@@ -93,7 +94,7 @@ def _child_values(
     ``bitmix.child_state_np(states, index)``, in the same shape.
     """
     b = params.branching_factor
-    designated = bitmix.stream_u64_np(states, DESIGNATED_TAG) % np.uint64(b)
+    designated = designated_indices(states, b)
     k = level_cost(params, depth)
     return np.where(index == designated.astype(np.int64), values, values + (k if depth % 2 else -k))
 

@@ -38,21 +38,25 @@ computing b^d; `within_cap` is the same test as a predicate.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import bitmix
 from .bitmix import DESIGNATED_TAG, FLIP_TAG, MASK64, checked_int, indexed_u64, stream_u64, unit
+from .forked import forked_map
 
 PLUS = 1
 MINUS = -1
 
 ENUM_CAP = 10**6  # the largest b^d that any full expansion may enumerate
 _TILE = 2**15  # children per enumeration tile: 256 KB per uint64 buffer
+_FORK_LEAVES = 2**19  # the fewest leaves an enumeration forks workers for
 _DESIGNATED = np.uint64(DESIGNATED_TAG)
 
 
@@ -305,7 +309,12 @@ def plus_fractions(params: GameParams, depth: int) -> np.ndarray:
 
 
 def mean_plus_fractions(
-    b: int, gamma: float, depth: int, seeds: Iterable[int], chunk_elements: int = 2**20
+    b: int,
+    gamma: float,
+    depth: int,
+    seeds: Iterable[int],
+    chunk_elements: int = 2**20,
+    workers: int | None = None,
 ) -> np.ndarray:
     """Per-level +1 fractions averaged over instances, by full enumeration.
 
@@ -320,20 +329,43 @@ def mean_plus_fractions(
     Seeds go in blocks of at most ``chunk_elements`` leaves (but at least
     one instance per block). The default bounds each block's uint64 state
     arrays to a few MB; blocks of hundreds of MB thrash the cache.
+
+    The enumeration runs on `workers` processes, by default one per CPU:
+    the caller and forked children (`forked.forked_map`, POSIX only) pull
+    tasks of at most one block's seeds, about one task per worker when
+    that is fewer. A call forks only when it has two tasks or more and
+    enumerates at least `_FORK_LEAVES` leaves; smaller calls run inline.
+    Each task returns one row of fractions per seed, which does not
+    depend on the seeds it shares a task with, and the rows are summed
+    block by block in seed order, so the result has the same bits for
+    every worker count. Forking is unsafe in a process that runs
+    threads; such a caller passes ``workers=1``.
     """
     b = checked_int("b", b, 2)
     depth = checked_span(b, depth, "depth")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    chunk_elements = checked_int("chunk_elements", chunk_elements, 1)
+    workers = checked_int("workers", (os.cpu_count() or 1) if workers is None else workers, 1)
     seed_array = np.asarray([checked_int("seeds", s, 0, MASK64) for s in seeds], dtype=np.uint64)
-    if seed_array.size == 0:
+    n = seed_array.size
+    if n == 0:
         raise ValueError("at least one seed required")
     per_chunk = max(1, chunk_elements // b**depth)
+    size = min(per_chunk, -(-n // workers))
+    tasks = [seed_array[lo : lo + size] for lo in range(0, n, size)]
+    # one LevelStep per process: the children inherit the caller's
+    grow = LevelStep(b, gamma, size * b ** max(depth - 1, 0))
+    profile = partial(_profile_for_seeds, grow, depth)
+    if workers > 1 and len(tasks) > 1 and n * b**depth >= _FORK_LEAVES:
+        parts = forked_map(profile, tasks, workers, range(len(tasks)), "enumeration worker")
+    else:
+        parts = list(map(profile, tasks))
+    rows = np.concatenate(parts)
     totals = np.zeros(depth + 1, dtype=np.float64)
-    for start in range(0, seed_array.size, per_chunk):
-        block = seed_array[start : start + per_chunk]
-        totals += _profile_for_seeds(b, gamma, depth, block).sum(axis=0)
-    return totals / seed_array.size
+    for start in range(0, n, per_chunk):
+        totals += rows[start : start + per_chunk].sum(axis=0)
+    return totals / n
 
 
 def flip_threshold(gamma: float) -> int:
@@ -347,6 +379,31 @@ def flip_threshold(gamma: float) -> int:
     return math.ceil(gamma * 2.0**53) << 11
 
 
+def designated_indices(
+    states: np.ndarray, b: int, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """`NodeCursor.designated_index` of every node state in the uint64
+    array `states`, as a uint64 array: the growth rule's one numpy copy
+    of ``stream_u64(state, DESIGNATED_TAG) % b``.
+
+    The remainder is taken as ``h - (h // b) * b``, which has the bits of
+    ``h % b``; numpy's uint64 remainder by a scalar is several times
+    slower than its floor division. `out` and `scratch` are uint64
+    arrays of the states' shape, allocated when not given.
+    """
+    if out is None:
+        out = np.empty_like(states)
+    if scratch is None:
+        scratch = np.empty_like(out)
+    modulus = np.uint64(b)
+    np.bitwise_xor(states, _DESIGNATED, out=out)
+    bitmix.mix64_inplace(out, scratch)
+    np.floor_divide(out, modulus, out=scratch)
+    scratch *= modulus
+    out -= scratch
+    return out
+
+
 class LevelStep:
     """The growth rule over whole levels of nodes, in numpy.
 
@@ -355,7 +412,10 @@ class LevelStep:
     holds child j of every node, so child j of node k is node j * w + k
     of the next level. Parents go in tiles of about `_TILE` children,
     which keeps the mixer's passes over a tile's buffers in cache; the
-    buffers are sized once, for levels of at most `widest` parents.
+    buffers are sized once, for levels of at most `widest` parents, so
+    one LevelStep serves every level and every block of a call. A tile's
+    designated children come from `designated_indices`, which writes its
+    floor-divide remainder into those buffers.
     """
 
     def __init__(self, b: int, gamma: float, widest: int) -> None:
@@ -386,9 +446,7 @@ class LevelStep:
             tile_states, tile_plus = states[lo:hi], plus[lo:hi]
             w, s = self.words[: b * m].reshape(b, m), self.scratch[: b * m].reshape(b, m)
             choice = tile_plus if level % 2 == 0 else ~tile_plus
-            d = self.designated[:m]
-            np.bitwise_xor(tile_states, _DESIGNATED, out=d)
-            np.remainder(bitmix.mix64_inplace(d, s[0]), np.uint64(b), out=d)
+            d = designated_indices(tile_states, b, self.designated[:m], s[0])
             flips = (d != index) & choice
             if self.draw:
                 np.bitwise_xor(tile_states, self.flip_words, out=w)
@@ -401,17 +459,18 @@ class LevelStep:
         return child_plus.reshape(-1), None if child_states is None else child_states.reshape(-1)
 
 
-def _profile_for_seeds(b: int, gamma: float, depth: int, seeds: np.ndarray) -> np.ndarray:
-    """(len(seeds), depth+1) array of exact +1 fractions per level.
+def _profile_for_seeds(grow: LevelStep, depth: int, seeds: np.ndarray) -> np.ndarray:
+    """(len(seeds), depth+1) array of exact +1 fractions per level, grown
+    by `grow`, a `LevelStep` sized for at least len(seeds) * b^(depth-1)
+    parents.
 
     The levels hold every seed's nodes side by side, seed-minor: with n
     seeds, node k of a level belongs to seed k % n, which `LevelStep`'s
     layout keeps from level to level.
     """
-    n_seeds = seeds.size
+    b, n_seeds = grow.b, seeds.size
     out = np.empty((n_seeds, depth + 1), dtype=np.float64)
     out[:, 0] = 1.0
-    grow = LevelStep(b, gamma, n_seeds * b ** max(depth - 1, 0))
     states = bitmix.root_state_np(seeds)
     plus = np.ones(n_seeds, dtype=bool)
     for level in range(depth):

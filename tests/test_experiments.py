@@ -32,6 +32,7 @@ from critgames.experiments import (
     theorem_runs,
     tree_seeds,
 )
+from critgames.forked import forked_map
 from critgames.heuristics import parse_heuristic
 from critgames.search_minimax import MinimaxConfig, alphabeta
 from critgames.tree_model import GameParams
@@ -607,6 +608,35 @@ class TestForkedWorkers:
         inline = csv_lines(run_grid(spec, workers=1))
         assert csv_lines(run_grid(spec, workers=workers)) == inline
         assert len(forked) == forks
+        assert_no_children()
+
+
+class TestForkedMap:
+    """forked.forked_map, the runner behind run_grid and mean_plus_fractions."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_results_come_in_task_order_for_any_queue_order(self, workers):
+        tasks = list(range(7))
+        for order in (range(7), range(6, -1, -1), (3, 0, 6, 1, 5, 2, 4)):
+            results = forked_map(lambda x: (x, os.getpid()), tasks, workers, order, "test worker")
+            assert [x for x, _ in results] == tasks
+            assert len({pid for _, pid in results}) <= min(workers, len(tasks))
+        assert_no_children()
+
+    def test_what_names_the_workers_in_error_text(self, tmp_path):
+        caller, flag = os.getpid(), tmp_path / "flag"
+
+        def run(task):
+            if os.getpid() != caller:
+                flag.touch()
+                raise ValueError(lambda: None)  # does not pickle
+            deadline = time.monotonic() + 60
+            while not flag.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return task
+
+        with pytest.raises(RuntimeError, match=r"^pool hand failed: ValueError\(<function"):
+            forked_map(run, [0, 1, 2], 2, range(3), "pool hand")
         assert_no_children()
 
 

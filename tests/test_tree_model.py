@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import time
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from critgames import bitmix
+from critgames import bitmix, experiments, tree_model
+from critgames.experiments import GridSpec, run_grid
 from critgames.heuristics import parse_heuristic
 from critgames.pv_model import PvParams, pv_leaf_sum
 from critgames.search_minimax import MinimaxConfig, minimax_reference
@@ -24,6 +26,7 @@ from critgames.tree_model import (
     checked_span,
     density_limits,
     designated_child,
+    designated_indices,
     export_tree,
     flip_threshold,
     grown_value,
@@ -505,6 +508,169 @@ class TestEnumerationOracle:
         # levels past 2^15 children run in several tiles, partial ones included
         profile = mean_plus_fractions(b, gamma, 12, range(20))
         assert [x.hex() for x in profile.tolist()] == list(GOLDEN_PROFILES[b, gamma])
+
+
+def unmix64(h):
+    """The inverse of `bitmix.mix64`: undo each xor-shift and multiply in turn."""
+    h ^= (h >> 31) ^ (h >> 62)
+    h = h * pow(0x94D049BB133111EB, -1, 1 << 64) & bitmix.MASK64
+    h ^= (h >> 27) ^ (h >> 54)
+    h = h * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & bitmix.MASK64
+    return h ^ (h >> 30) ^ (h >> 60)
+
+
+class TestDesignatedIndices:
+    @pytest.mark.parametrize("b", [2, 3, 5, 10])
+    def test_floor_divide_remainder_matches_modulo_on_edge_words(self, b):
+        """States chosen so that the mixed word h is 0, 2^64 - 1 or a multiple
+        of b plus or minus one, at the bottom, middle and top of the range."""
+        top = bitmix.MASK64 // b * b
+        multiples = [b, b * 12345, (bitmix.MASK64 // 2) // b * b, top - b, top]
+        words = [0, 1, bitmix.MASK64] + [m + e for m in multiples for e in (-1, 0, 1)]
+        words = sorted({w for w in words if 0 <= w <= bitmix.MASK64})
+        assert all(bitmix.mix64(unmix64(w)) == w for w in words)
+        states = np.array([unmix64(w) ^ bitmix.DESIGNATED_TAG for w in words], dtype=np.uint64)
+        want = np.array(words, dtype=np.uint64) % np.uint64(b)
+        got = designated_indices(states, b)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+        out, scratch = np.empty_like(states), np.empty_like(states)
+        assert designated_indices(states, b, out, scratch) is out
+        assert np.array_equal(out, want)
+        p = params(b=b)
+        assert got.tolist() == [NodeCursor(p, 0, PLUS, int(s)).designated_index for s in states]
+
+
+def in_a_child(child_does, flag, real):
+    """A stand-in for the task function `real` that runs `child_does` in a
+    forked child. In the caller it first waits until some child has
+    touched `flag`, so that a child surely takes a task, then calls `real`."""
+    caller = os.getpid()
+
+    def task(*args):
+        if os.getpid() != caller:
+            flag.touch()
+            child_does()
+        deadline = time.monotonic() + 60
+        while not flag.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return real(*args)
+
+    return task
+
+
+def fail():
+    raise ValueError("stub failed in a child")
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch):
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    return forked
+
+
+class TestForkedEnumeration:
+    """mean_plus_fractions on several workers: the caller and forked
+    children enumerate slices of the seeds, with the same bits as one."""
+
+    @pytest.mark.parametrize("b, n", [(2, 300), (3, 9)])
+    @pytest.mark.parametrize("chunk", [3**8, 3**14])
+    def test_profiles_do_not_depend_on_the_worker_count(self, monkeypatch, b, n, chunk):
+        """At 3^8 every seed is a block and a task. At 3^14 all n seeds are
+        one block, summed row by row, but tasks hold ceil(n / workers)."""
+        forked = count_forks(monkeypatch)
+        profiles = [
+            [x.hex() for x in mean_plus_fractions(b, 0.9, 12, range(n), chunk, workers).tolist()]
+            for workers in (1, 2, 3)
+        ]
+        assert profiles[1] == profiles[0] and profiles[2] == profiles[0]
+        assert len(forked) == 3
+
+    @pytest.mark.parametrize(
+        "b, depth, n, workers, forks",
+        [
+            (2, 12, 127, 2, 0),  # 127 * 2^12 leaves, just below 2^19
+            (2, 12, 128, 2, 1),
+            (3, 12, 1, 4, 0),  # one task
+            (3, 12, 4, 1, 0),
+            (2, 4, 10**4, 3, 0),
+        ],
+    )
+    def test_small_calls_run_inline(self, monkeypatch, b, depth, n, workers, forks):
+        forked = count_forks(monkeypatch)
+        profile = mean_plus_fractions(b, 0.5, depth, range(n), workers=workers)
+        assert len(forked) == forks
+        inline = mean_plus_fractions(b, 0.5, depth, range(n), workers=1)
+        assert np.array_equal(profile, inline)
+
+    @pytest.mark.parametrize("cpus, forks", [(3, 2), (None, 0)])
+    def test_workers_default_to_the_cpu_count(self, monkeypatch, cpus, forks):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        forked = count_forks(monkeypatch)
+        mean_plus_fractions(2, 0.5, 12, range(300))
+        assert len(forked) == forks
+
+    def test_a_child_exception_is_raised_in_the_caller(self, monkeypatch, tmp_path):
+        stub = in_a_child(fail, tmp_path / "flag", tree_model._profile_for_seeds)
+        monkeypatch.setattr(tree_model, "_profile_for_seeds", stub)
+        with pytest.raises(ValueError, match="^stub failed in a child$") as raised:
+            mean_plus_fractions(3, 0.5, 12, range(4), workers=2)
+        assert isinstance(raised.value.__cause__, ChildProcessError)
+        assert "in enumeration worker" in str(raised.value.__cause__)
+        assert_no_children()
+
+    def test_a_child_that_dies_raises_and_does_not_hang(self, monkeypatch, tmp_path):
+        stub = in_a_child(lambda: os._exit(3), tmp_path / "flag", tree_model._profile_for_seeds)
+        monkeypatch.setattr(tree_model, "_profile_for_seeds", stub)
+        with pytest.raises(RuntimeError, match=r"^enumeration worker \d+ died with exit code 3$"):
+            mean_plus_fractions(3, 0.5, 12, range(4), workers=3)
+        assert_no_children()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
+    def test_no_child_or_descriptor_outlives_a_call(self, monkeypatch, tmp_path):
+        """Forked grid and enumeration calls, passing and failing, leave no
+        child to reap and no file descriptor open."""
+        spec = GridSpec(gammas=(0.5, 1.0), branchings=(2,), explorations=(0.5,), budgets=(10,),
+                        max_depth=8, trees=4)
+        before = len(os.listdir("/proc/self/fd"))
+        run_grid(spec, workers=2)
+        mean_plus_fractions(3, 0.5, 12, range(4), workers=2)
+        for i, (module, name, child_does) in enumerate([
+            (experiments, "run_cell", fail),
+            (experiments, "run_cell", lambda: os._exit(3)),
+            (tree_model, "_profile_for_seeds", fail),
+            (tree_model, "_profile_for_seeds", lambda: os._exit(3)),
+        ]):
+            flag = tmp_path / f"flag{i}"
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, in_a_child(child_does, flag, getattr(module, name)))
+                with pytest.raises((ValueError, RuntimeError)):
+                    if module is experiments:
+                        run_grid(spec, workers=2)
+                    else:
+                        mean_plus_fractions(3, 0.5, 12, range(4), workers=2)
+        assert_no_children()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [(name, v) for name in ("chunk_elements", "workers") for v in (-5, 0, 1.5, math.nan, "2")]
+        + [("chunk_elements", None)],  # workers=None means one per CPU
+    )
+    def test_bad_counts_rejected(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got "):
+            mean_plus_fractions(2, 0.5, 4, range(3), **{name: value})
+
+    def test_huge_chunk_is_one_block(self):
+        assert np.array_equal(
+            mean_plus_fractions(2, 0.5, 4, range(3), chunk_elements=10**30),
+            mean_plus_fractions(2, 0.5, 4, range(3)),
+        )
 
 
 class TestCheckedSpan:
