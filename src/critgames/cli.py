@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import shlex
 import sys
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from .experiments import (
     run_theorem_experiment,
     theorem_c_bound,
 )
+from .forked import usable_cpus
 from .heuristics import parse_heuristic, save_histogram
 from .pv_model import PvParams, leaf_sum_difference, pv_naive_plan, pv_optimal_root_child
 from .search_minimax import MinimaxConfig, alphabeta
@@ -167,7 +167,7 @@ SUB_OPTS: dict[str, dict[str, Opt]] = {
         "trees": Opt(int, GridSpec.trees, "instances per cell"),
         "algo": Opt(str, GridSpec.algorithm, "uct or alphabeta"),
         "seed": SEED,
-        "workers": Opt(int, os.cpu_count() or 1, "process count for experiment sweeps"),
+        "workers": Opt(int, usable_cpus(), "process count for experiment sweeps"),
     },
     "pv-check": {
         "depth_max": Opt(int, 10, "largest distance checked"),

@@ -5,7 +5,8 @@ forked children. The grid sweeps (`experiments.run_grid`) and the exact
 enumeration (`tree_model.mean_plus_fractions`) both use it. The caller
 works too, every process takes the next task whenever it is free, and
 results come back in task order, so they never depend on the number of
-workers or on which process ran which task.
+workers or on which process ran which task. `usable_cpus` is the
+default worker count of both.
 """
 
 from __future__ import annotations
@@ -18,6 +19,16 @@ import traceback
 from typing import Callable, Iterable, Iterator, Sequence
 
 _INDEX_BYTES = 8  # one task index in the shared queue
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the size of its affinity mask
+    where the OS has one, else the CPU count. A CPU quota (a cgroup's
+    cpu.max) is not counted."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this OS
+        return os.cpu_count() or 1
 
 
 def _pull(queue: int) -> Iterator[int]:

@@ -38,7 +38,6 @@ computing b^d; `within_cap` is the same test as a predicate.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -49,14 +48,13 @@ import numpy as np
 
 from . import bitmix
 from .bitmix import DESIGNATED_TAG, FLIP_TAG, MASK64, checked_int, indexed_u64, stream_u64, unit
-from .forked import forked_map
+from .forked import forked_map, usable_cpus
 
 PLUS = 1
 MINUS = -1
 
 ENUM_CAP = 10**6  # the largest b^d that any full expansion may enumerate
 _TILE = 2**15  # children per enumeration tile: 256 KB per uint64 buffer
-_FORK_LEAVES = 2**19  # the fewest leaves an enumeration forks workers for
 _DESIGNATED = np.uint64(DESIGNATED_TAG)
 
 
@@ -314,7 +312,6 @@ def mean_plus_fractions(
     depth: int,
     seeds: Iterable[int],
     chunk_elements: int = 2**20,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Per-level +1 fractions averaged over instances, by full enumeration.
 
@@ -330,34 +327,32 @@ def mean_plus_fractions(
     one instance per block). The default bounds each block's uint64 state
     arrays to a few MB; blocks of hundreds of MB thrash the cache.
 
-    The enumeration runs on `workers` processes, by default one per CPU:
-    the caller and forked children (`forked.forked_map`, POSIX only) pull
-    tasks of at most one block's seeds, about one task per worker when
-    that is fewer. A call forks only when it has two tasks or more and
-    enumerates at least `_FORK_LEAVES` leaves; smaller calls run inline.
-    Each task returns one row of fractions per seed, which does not
-    depend on the seeds it shares a task with, and the rows are summed
-    block by block in seed order, so the result has the same bits for
-    every worker count. Forking is unsafe in a process that runs
-    threads; such a caller passes ``workers=1``.
+    The enumeration runs on one process per usable CPU
+    (`forked.usable_cpus`): the caller and forked children
+    (`forked.forked_map`, POSIX only) pull tasks of at most one block's
+    seeds, about one task per worker when that is fewer. A call with one
+    task, or on one CPU, runs inline. Each task returns one row of
+    fractions per seed, which does not depend on the seeds it shares a
+    task with, and the rows are summed block by block in seed order, so
+    the result has the same bits for every worker count.
     """
     b = checked_int("b", b, 2)
     depth = checked_span(b, depth, "depth")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     chunk_elements = checked_int("chunk_elements", chunk_elements, 1)
-    workers = checked_int("workers", (os.cpu_count() or 1) if workers is None else workers, 1)
     seed_array = np.asarray([checked_int("seeds", s, 0, MASK64) for s in seeds], dtype=np.uint64)
     n = seed_array.size
     if n == 0:
         raise ValueError("at least one seed required")
     per_chunk = max(1, chunk_elements // b**depth)
+    workers = usable_cpus()
     size = min(per_chunk, -(-n // workers))
     tasks = [seed_array[lo : lo + size] for lo in range(0, n, size)]
     # one LevelStep per process: the children inherit the caller's
     grow = LevelStep(b, gamma, size * b ** max(depth - 1, 0))
     profile = partial(_profile_for_seeds, grow, depth)
-    if workers > 1 and len(tasks) > 1 and n * b**depth >= _FORK_LEAVES:
+    if workers > 1 and len(tasks) > 1:
         parts = forked_map(profile, tasks, workers, range(len(tasks)), "enumeration worker")
     else:
         parts = list(map(profile, tasks))

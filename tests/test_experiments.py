@@ -5,6 +5,7 @@ import math
 import os
 import re
 import time
+from functools import partial
 from pathlib import Path
 from random import Random
 
@@ -32,10 +33,11 @@ from critgames.experiments import (
     theorem_runs,
     tree_seeds,
 )
-from critgames.forked import forked_map
+from critgames.forked import forked_map, usable_cpus
 from critgames.heuristics import parse_heuristic
 from critgames.search_minimax import MinimaxConfig, alphabeta
 from critgames.tree_model import GameParams
+from fork_helpers import assert_no_children, count_forks, fail, in_a_child, unpicklable
 
 
 def tiny_spec(**kw):
@@ -506,40 +508,13 @@ class TestDeterminism:
             run_grid(tiny_spec(), workers=0)
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def in_a_child(child_does, flag):
-    """A DECIDERS builder whose decide runs `child_does` in a forked child.
-
-    In the caller, decide first waits until some child has touched
-    `flag`, so that a child surely takes a task before the caller can
-    take them all; then it decides action 0 everywhere."""
-    caller = os.getpid()
-
-    def builder(c, budgets, heuristic):
-        def decide(trees):
-            if os.getpid() != caller:
-                flag.touch()
-                child_does()
-            deadline = time.monotonic() + 60
-            while not flag.exists() and time.monotonic() < deadline:
-                time.sleep(0.001)
-            return [{j: 0 for j in budgets} for _ in trees]
-
-        return decide
-
-    return builder
-
-
-def unpicklable():
-    raise ValueError(lambda: None)
-
-
-def fail():
-    raise ValueError("stub failed in a child")
+def deciding_in_a_child(child_does, flag):
+    """A DECIDERS builder whose decide runs `child_does` in a forked
+    child (`in_a_child`) and decides action 0 everywhere."""
+    decide = in_a_child(
+        child_does, flag, lambda budgets, trees: [{j: 0 for j in budgets} for _ in trees]
+    )
+    return lambda c, budgets, heuristic: partial(decide, budgets)
 
 
 class TestForkedWorkers:
@@ -549,7 +524,7 @@ class TestForkedWorkers:
     spec = dict(gammas=(0.5, 1.0), trees=4, budgets=(10,))
 
     def test_a_child_exception_is_raised_in_the_caller(self, monkeypatch, tmp_path):
-        monkeypatch.setitem(DECIDERS, "uct", in_a_child(fail, tmp_path / "flag"))
+        monkeypatch.setitem(DECIDERS, "uct", deciding_in_a_child(fail, tmp_path / "flag"))
         with pytest.raises(ValueError, match="^stub failed in a child$") as raised:
             run_grid(tiny_spec(**self.spec), workers=2)
         assert isinstance(raised.value.__cause__, ChildProcessError)
@@ -557,13 +532,13 @@ class TestForkedWorkers:
         assert_no_children()
 
     def test_an_exception_that_does_not_pickle_arrives_as_its_text(self, monkeypatch, tmp_path):
-        monkeypatch.setitem(DECIDERS, "uct", in_a_child(unpicklable, tmp_path / "flag"))
+        monkeypatch.setitem(DECIDERS, "uct", deciding_in_a_child(unpicklable, tmp_path / "flag"))
         with pytest.raises(RuntimeError, match=r"^grid worker failed: ValueError\(<function"):
             run_grid(tiny_spec(**self.spec), workers=2)
         assert_no_children()
 
     def test_a_child_that_dies_raises_and_does_not_hang(self, monkeypatch, tmp_path):
-        monkeypatch.setitem(DECIDERS, "uct", in_a_child(lambda: os._exit(3), tmp_path / "flag"))
+        monkeypatch.setitem(DECIDERS, "uct", deciding_in_a_child(lambda: os._exit(3), tmp_path / "flag"))
         with pytest.raises(RuntimeError, match=r"grid worker \d+ died with exit code 3"):
             run_grid(tiny_spec(**self.spec), workers=3)
         assert_no_children()
@@ -574,7 +549,7 @@ class TestForkedWorkers:
         def stuck():
             time.sleep(120)
 
-        builder = in_a_child(stuck, tmp_path / "flag")
+        builder = deciding_in_a_child(stuck, tmp_path / "flag")
 
         def caller_fails(c, budgets, heuristic):
             decide = builder(c, budgets, heuristic)
@@ -603,8 +578,7 @@ class TestForkedWorkers:
         children; the two-cell grids here cut four one-tree tasks."""
         spec = tiny_spec(gammas=gammas, trees=trees, budgets=(10,))
         assert min(workers, len(grid_tasks(spec, workers))) - 1 == forks
-        forked, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+        forked = count_forks(monkeypatch)
         inline = csv_lines(run_grid(spec, workers=1))
         assert csv_lines(run_grid(spec, workers=workers)) == inline
         assert len(forked) == forks
@@ -624,20 +598,23 @@ class TestForkedMap:
         assert_no_children()
 
     def test_what_names_the_workers_in_error_text(self, tmp_path):
-        caller, flag = os.getpid(), tmp_path / "flag"
-
-        def run(task):
-            if os.getpid() != caller:
-                flag.touch()
-                raise ValueError(lambda: None)  # does not pickle
-            deadline = time.monotonic() + 60
-            while not flag.exists() and time.monotonic() < deadline:
-                time.sleep(0.001)
-            return task
-
+        run = in_a_child(unpicklable, tmp_path / "flag", lambda task: task)
         with pytest.raises(RuntimeError, match=r"^pool hand failed: ValueError\(<function"):
             forked_map(run, [0, 1, 2], 2, range(3), "pool hand")
         assert_no_children()
+
+
+class TestUsableCpus:
+    def test_counts_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cpus() == 3
+
+    @pytest.mark.parametrize("cpus, usable", [(6, 6), (None, 1)])
+    def test_without_an_affinity_call_counts_the_cpus(self, monkeypatch, cpus, usable):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert usable_cpus() == usable
 
 
 class TestTheoremBound:

@@ -40,6 +40,7 @@ from critgames.tree_model import (
     subtree_plus_density,
     walk,
 )
+from fork_helpers import assert_no_children, count_forks, fail, in_a_child
 
 
 def params(b=2, gamma=1.0, depth=10, seed=0):
@@ -540,37 +541,8 @@ class TestDesignatedIndices:
         assert got.tolist() == [NodeCursor(p, 0, PLUS, int(s)).designated_index for s in states]
 
 
-def in_a_child(child_does, flag, real):
-    """A stand-in for the task function `real` that runs `child_does` in a
-    forked child. In the caller it first waits until some child has
-    touched `flag`, so that a child surely takes a task, then calls `real`."""
-    caller = os.getpid()
-
-    def task(*args):
-        if os.getpid() != caller:
-            flag.touch()
-            child_does()
-        deadline = time.monotonic() + 60
-        while not flag.exists() and time.monotonic() < deadline:
-            time.sleep(0.001)
-        return real(*args)
-
-    return task
-
-
-def fail():
-    raise ValueError("stub failed in a child")
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def count_forks(monkeypatch):
-    forked, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
-    return forked
+def on_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(tree_model, "usable_cpus", lambda: cpus)
 
 
 class TestForkedEnumeration:
@@ -583,51 +555,43 @@ class TestForkedEnumeration:
         """At 3^8 every seed is a block and a task. At 3^14 all n seeds are
         one block, summed row by row, but tasks hold ceil(n / workers)."""
         forked = count_forks(monkeypatch)
-        profiles = [
-            [x.hex() for x in mean_plus_fractions(b, 0.9, 12, range(n), chunk, workers).tolist()]
-            for workers in (1, 2, 3)
-        ]
+        profiles = []
+        for workers in (1, 2, 3):
+            on_cpus(monkeypatch, workers)
+            profile = mean_plus_fractions(b, 0.9, 12, range(n), chunk)
+            profiles.append([x.hex() for x in profile.tolist()])
         assert profiles[1] == profiles[0] and profiles[2] == profiles[0]
         assert len(forked) == 3
 
     @pytest.mark.parametrize(
-        "b, depth, n, workers, forks",
-        [
-            (2, 12, 127, 2, 0),  # 127 * 2^12 leaves, just below 2^19
-            (2, 12, 128, 2, 1),
-            (3, 12, 1, 4, 0),  # one task
-            (3, 12, 4, 1, 0),
-            (2, 4, 10**4, 3, 0),
-        ],
+        "cpus, n, forks", [(1, 40, 0), (4, 1, 0), (4, 2, 1), (3, 40, 2), (8, 3, 2)]
     )
-    def test_small_calls_run_inline(self, monkeypatch, b, depth, n, workers, forks):
+    def test_one_child_per_task_and_cpu_but_the_callers(self, monkeypatch, cpus, n, forks):
+        """A call forks whenever it has two tasks and two CPUs, however
+        few leaves it enumerates."""
+        on_cpus(monkeypatch, cpus)
         forked = count_forks(monkeypatch)
-        profile = mean_plus_fractions(b, 0.5, depth, range(n), workers=workers)
+        profile = mean_plus_fractions(2, 0.5, 4, range(n))
         assert len(forked) == forks
-        inline = mean_plus_fractions(b, 0.5, depth, range(n), workers=1)
-        assert np.array_equal(profile, inline)
-
-    @pytest.mark.parametrize("cpus, forks", [(3, 2), (None, 0)])
-    def test_workers_default_to_the_cpu_count(self, monkeypatch, cpus, forks):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        forked = count_forks(monkeypatch)
-        mean_plus_fractions(2, 0.5, 12, range(300))
-        assert len(forked) == forks
+        on_cpus(monkeypatch, 1)
+        assert np.array_equal(profile, mean_plus_fractions(2, 0.5, 4, range(n)))
 
     def test_a_child_exception_is_raised_in_the_caller(self, monkeypatch, tmp_path):
+        on_cpus(monkeypatch, 2)
         stub = in_a_child(fail, tmp_path / "flag", tree_model._profile_for_seeds)
         monkeypatch.setattr(tree_model, "_profile_for_seeds", stub)
         with pytest.raises(ValueError, match="^stub failed in a child$") as raised:
-            mean_plus_fractions(3, 0.5, 12, range(4), workers=2)
+            mean_plus_fractions(3, 0.5, 12, range(4))
         assert isinstance(raised.value.__cause__, ChildProcessError)
         assert "in enumeration worker" in str(raised.value.__cause__)
         assert_no_children()
 
     def test_a_child_that_dies_raises_and_does_not_hang(self, monkeypatch, tmp_path):
+        on_cpus(monkeypatch, 3)
         stub = in_a_child(lambda: os._exit(3), tmp_path / "flag", tree_model._profile_for_seeds)
         monkeypatch.setattr(tree_model, "_profile_for_seeds", stub)
         with pytest.raises(RuntimeError, match=r"^enumeration worker \d+ died with exit code 3$"):
-            mean_plus_fractions(3, 0.5, 12, range(4), workers=3)
+            mean_plus_fractions(3, 0.5, 12, range(4))
         assert_no_children()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
@@ -636,9 +600,10 @@ class TestForkedEnumeration:
         child to reap and no file descriptor open."""
         spec = GridSpec(gammas=(0.5, 1.0), branchings=(2,), explorations=(0.5,), budgets=(10,),
                         max_depth=8, trees=4)
+        on_cpus(monkeypatch, 2)
         before = len(os.listdir("/proc/self/fd"))
         run_grid(spec, workers=2)
-        mean_plus_fractions(3, 0.5, 12, range(4), workers=2)
+        mean_plus_fractions(3, 0.5, 12, range(4))
         for i, (module, name, child_does) in enumerate([
             (experiments, "run_cell", fail),
             (experiments, "run_cell", lambda: os._exit(3)),
@@ -652,19 +617,14 @@ class TestForkedEnumeration:
                     if module is experiments:
                         run_grid(spec, workers=2)
                     else:
-                        mean_plus_fractions(3, 0.5, 12, range(4), workers=2)
+                        mean_plus_fractions(3, 0.5, 12, range(4))
         assert_no_children()
         assert len(os.listdir("/proc/self/fd")) == before
 
-
-    @pytest.mark.parametrize(
-        "name, value",
-        [(name, v) for name in ("chunk_elements", "workers") for v in (-5, 0, 1.5, math.nan, "2")]
-        + [("chunk_elements", None)],  # workers=None means one per CPU
-    )
-    def test_bad_counts_rejected(self, name, value):
-        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got "):
-            mean_plus_fractions(2, 0.5, 4, range(3), **{name: value})
+    @pytest.mark.parametrize("chunk", [-5, 0, 1.5, math.nan, "2", None])
+    def test_bad_chunk_rejected(self, chunk):
+        with pytest.raises(ValueError, match=r"^chunk_elements must be an integer >= 1, got "):
+            mean_plus_fractions(2, 0.5, 4, range(3), chunk)
 
     def test_huge_chunk_is_one_block(self):
         assert np.array_equal(
