@@ -3,46 +3,16 @@
 Every random decision in the generative models is a pure function of
 (seed, path, stream tag), realized with a splitmix64-style finalizer.
 The scalar and numpy implementations are kept in lockstep and are
-cross-checked bit for bit by the test suite. The module also holds the
-input checks every layer shares: integer ranges and file reads.
+cross-checked bit for bit by the test suite.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from pathlib import Path
 
 import numpy as np
 
 MASK64 = (1 << 64) - 1
-
-
-def checked_int(name: str, value: object, low: int, high: int | None = None) -> int:
-    """`value` as an `int` in [low, high], else a ValueError naming `name`.
-
-    Counts pass ``low`` alone; seeds pass ``0, MASK64``. numpy integers
-    come back as `int`, so uint64 arithmetic never reaches the mixer.
-    """
-    try:
-        number = operator.index(value)
-        if low <= number and (high is None or number <= high):
-            return number
-    except TypeError:  # not an integer
-        pass
-    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
-
-
-def read_text(path: str | Path, what: str) -> str:
-    """The text of an input file, else a ValueError naming `what` and the path."""
-    try:
-        return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise ValueError(f"cannot read {what} {path}: {reason}") from exc
-
-
 GOLDEN = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, odd
 _MULT_A = 0xBF58476D1CE4E5B9
 _MULT_B = 0x94D049BB133111EB

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .bitmix import checked_int, read_text
 from .engine import (
     EngineSession,
     LiveTransport,
@@ -44,6 +43,7 @@ from .experiments import (
 )
 from .forked import usable_cpus
 from .heuristics import parse_heuristic, save_histogram
+from .inputs import checked_int, read_text
 from .pv_model import PvParams, leaf_sum_difference, pv_naive_plan, pv_optimal_root_child
 from .search_minimax import MinimaxConfig, alphabeta
 from .search_uct import UctConfig, uct_search

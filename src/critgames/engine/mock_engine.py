@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from ..bitmix import read_text
+from ..inputs import read_text
 from .session import DEFAULT_OPTIONS
 
 # the options a probe session sets on every handshake

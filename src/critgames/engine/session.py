@@ -13,11 +13,13 @@ import logging
 import random
 from dataclasses import dataclass, replace
 from threading import TIMEOUT_MAX
-from typing import Literal, Sequence
+from typing import TYPE_CHECKING, Literal, Sequence
 
-from ..bitmix import checked_int
-from ..heuristics import HistogramPdf, normalized
+from ..inputs import checked_int
 from .transport import EngineTimeout
+
+if TYPE_CHECKING:
+    from ..heuristics import HistogramPdf
 
 log = logging.getLogger("critgames.engine")
 
@@ -400,6 +402,9 @@ class EngineSession:
         for klass, label in ((1, "winning"), (-1, "losing")):
             if tallies[klass] == 0:
                 raise ValueError(f"no probed positions fell in the {label} class")
+        # imported here: heuristics pulls in numpy, which nothing else in the engine layer needs
+        from ..heuristics import HistogramPdf, normalized
+
         pdf = HistogramPdf(
             plus_weights=normalized(counts[1]),
             minus_weights=normalized(counts[-1]),

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import bitmix
 from .forked import forked_map
 from .heuristics import HeuristicSpec, heuristic_key, parse_heuristic
+from .inputs import checked_int
 from .search_minimax import MinimaxConfig, alphabeta, minimax_decisions
 from .search_uct import SearchResult, UctConfig, checked_exploration, uct_search
 from .tree_model import GameParams, node_meta, within_cap
@@ -113,7 +114,7 @@ class GridSpec:
         if list(self.budgets) != sorted(set(self.budgets)):
             raise ValueError("budgets must be strictly ascending")
         for name, low, high in (("trees", 1, None), ("master_seed", 0, bitmix.MASK64)):
-            object.__setattr__(self, name, bitmix.checked_int(name, getattr(self, name), low, high))
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), low, high))
         if self.algorithm not in DECIDERS:
             raise ValueError(f"algorithm must be one of {tuple(DECIDERS)}")
         # every cell's values, checked by the types that own their rules
@@ -288,7 +289,7 @@ def run_grid(spec: GridSpec, workers: int = 1) -> list[CellReport]:
     only), which pull the tasks costliest first (`task_order`). Results
     return in task order, so reports do not depend on the worker count;
     a cell's wall_time is the measured sum of its slices' times."""
-    workers = bitmix.checked_int("workers", workers, 1)
+    workers = checked_int("workers", workers, 1)
     tasks = grid_tasks(spec, workers)
     if workers == 1:
         results = list(map(_run_task, tasks))
@@ -306,7 +307,7 @@ def run_grid(spec: GridSpec, workers: int = 1) -> list[CellReport]:
 
 def theorem_c_bound(iterations: int) -> float:
     """Exploration constant forcing breadth-first behavior at budget N."""
-    iterations = bitmix.checked_int("iterations", iterations, 2)
+    iterations = checked_int("iterations", iterations, 2)
     try:
         return math.sqrt(iterations**3 / (2.0 * math.log(iterations)))
     except OverflowError:
@@ -329,7 +330,7 @@ def theorem_runs(
     """(params, optimal root moves, search result) for each tree of the
     theorem cell: gamma = 1, the perfect evaluator, c at the bound for N."""
     c = theorem_c_bound(iterations)
-    trees = bitmix.checked_int("trees", trees, 1)
+    trees = checked_int("trees", trees, 1)
     cell = Cell(1.0, b, c, "perfect", (iterations,), max_depth, trees, "uct")
     heuristic = parse_heuristic("perfect")
     for params, optimal, search_seed in cell_trees(cell, master_seed, range(trees)):
@@ -344,7 +345,7 @@ def run_theorem_experiment(
     master_seed: int = 0,
 ) -> list[TheoremReport]:
     c = theorem_c_bound(iterations)
-    trees = bitmix.checked_int("trees", trees, 1)
+    trees = checked_int("trees", trees, 1)
     for b in branchings:  # each value checked before any search runs
         GameParams(b, 1.0, max_depth, master_seed)
     reports = []

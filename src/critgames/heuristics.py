@@ -30,7 +30,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitmix import draw_word, mix64, mix64_inplace, read_text, unit, unit_np
+from .bitmix import draw_word, mix64, mix64_inplace, unit, unit_np
+from .inputs import read_text
 from .tree_model import MINUS, PLUS, GameParams, Player, player_at, subtree_plus_density
 
 KINDS = ("perfect", "gaussian", "histogram", "playout-l1", "playout-linf")

@@ -31,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from . import bitmix
-from .bitmix import COST_TAG, MASK64, checked_int
+from .bitmix import COST_TAG, MASK64
+from .inputs import checked_int
 from .tree_model import ENUM_CAP, NodeCursor, checked_span, designated_indices
 
 _INT64_MAX = 2**63 - 1

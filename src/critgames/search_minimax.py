@@ -40,9 +40,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bitmix import MASK64, checked_int, child_state, eval_key, root_state_np
+from .bitmix import MASK64, child_state, eval_key, root_state_np
 from .heuristics import evaluate  # unused here, kept: the benchmark's traced run wraps this name
 from .heuristics import HeuristicSpec, frontier_scorer, frontier_scorer_np, rough_slack
+from .inputs import checked_int
 from .tree_model import (
     GameParams, LevelStep, NodeCursor, checked_span, designated_child, grown_value
 )

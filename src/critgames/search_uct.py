@@ -27,6 +27,7 @@ from typing import Iterator, NamedTuple, TextIO
 from . import bitmix
 from .heuristics import evaluate  # unused here, kept: the benchmark's traced run wraps this name
 from .heuristics import HeuristicSpec, frontier_scorer
+from .inputs import checked_int
 from .tree_model import GameParams, NodeCursor, Player, designated_child, grown_value
 
 
@@ -48,8 +49,8 @@ class UctConfig:
     def __post_init__(self) -> None:
         checked_exploration(self.exploration)
         for name, low, high in (("budget", 1, None), ("seed", 0, bitmix.MASK64)):
-            object.__setattr__(self, name, bitmix.checked_int(name, getattr(self, name), low, high))
-        cps = tuple(bitmix.checked_int("checkpoints", j, 1, self.budget) for j in self.checkpoints)
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), low, high))
+        cps = tuple(checked_int("checkpoints", j, 1, self.budget) for j in self.checkpoints)
         if list(cps) != sorted(set(cps)):
             raise ValueError("checkpoints must be strictly ascending")
         object.__setattr__(self, "checkpoints", cps or (self.budget,))

@@ -47,8 +47,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import bitmix
-from .bitmix import DESIGNATED_TAG, FLIP_TAG, MASK64, checked_int, indexed_u64, stream_u64, unit
+from .bitmix import DESIGNATED_TAG, FLIP_TAG, MASK64, indexed_u64, stream_u64, unit
 from .forked import forked_map, usable_cpus
+from .inputs import checked_int
 
 PLUS = 1
 MINUS = -1

@@ -141,10 +141,11 @@ def _config_cases():
     return [
         pytest.param(name, build, value, id=f"{name}={value!r}-{i}")
         for i, (name, build) in enumerate(seeds)
-        for value in (1.5, -1, 2**64)
+        for value in (1.5, -1, 2**64, True)
     ] + [
-        pytest.param(name, build, 2.5, id=f"{name}=2.5-{i}")
+        pytest.param(name, build, value, id=f"{name}={value!r}-{i}")
         for i, (name, build) in enumerate(counts)
+        for value in (2.5, True)
     ]
 
 

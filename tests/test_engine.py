@@ -1,5 +1,7 @@
 """Tests for the UCI probe stack against the scripted mock engine."""
 
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 from scipy import stats
 
+import critgames
 from critgames.engine import (
     CRITICAL_RATE_HEADER,
     DEFAULT_OPTIONS,
@@ -201,6 +204,14 @@ class TestTransports:
 
 
 class TestMockEngineScript:
+    @pytest.mark.parametrize("module", ["critgames.engine", "critgames.engine.mock_engine"])
+    def test_imports_without_numpy(self, module):
+        # every probe run spawns the mock, and numpy would be most of its start-up
+        env = {**os.environ, "PYTHONPATH": str(Path(critgames.__file__).parents[1])}
+        check = f"import sys, {module}; assert 'numpy' not in sys.modules"
+        done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_usage_error(self, capsys):
         assert mock_main([]) == 2
         assert "usage" in capsys.readouterr().err
